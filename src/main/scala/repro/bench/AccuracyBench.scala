@@ -29,8 +29,7 @@ object AccuracyBench {
   def retrieve(spark: SparkSession, c: World.Corpus, name: String,
                emb: ColumnEmbedder): Map[Long, Seq[Long]] =
     retrievalCache.getOrElseUpdate((c.cfg.name, c.repo.size, name), {
-      val idx = World.index(spark, c, emb)
-      World.retrieveAll(idx, c.queries, kMax)
+      World.retrieveAll(DeepJoin.buildIndex(spark, c.repoDs, emb), c.queries, kMax)
     })
 
   /** LSH Ensemble retrieval (cached). */
@@ -82,7 +81,7 @@ object AccuracyBench {
     }
     println(s"-- ${c.cfg.name}, ${jt.label}: precision@k | ndcg@k, k=${ks.mkString(",")}")
     methods.foreach { case (name, res) =>
-      val m = World.evalRetrieval(c, jt, res, exact, ks)
+      val m = World.evalRetrieval(c, res, exact, ks, World.jnLookup(c, jt))
       val ps = ks.map(k => f"${m(k)._1}%.3f").mkString(" ")
       val ns = ks.map(k => f"${m(k)._2}%.3f").mkString(" ")
       println(f"$name%-22s $ps | $ns")
@@ -128,79 +127,54 @@ object AccuracyBench {
         salt = 0x8a0L + bi).cache()
       val repo = repoDs.collect().toSeq.sortBy(_.id)
       val queries = LakeGenerator.queriesInSizeBandLocal(cfg, World.queryN, lo, hiCap)
-      val c = World.Corpus(cfg, repo, World.corpus(spark, cfg).train, queries,
-        repoDs, World.corpus(spark, cfg).trainDs)
+      val full = World.corpus(spark, cfg)
+      val c = World.Corpus(cfg, repo, full.train, queries, repoDs, full.trainDs)
       // Equi part.
       val exEq = {
         val qDs = spark.createDataset(queries)
         Joinability.equiTopKMap(spark, qDs, repoDs, k)
       }
       val ctxCol = new Contextualizer(TextOption.Col, frequency = c.cellFrequency)
+      def topK(emb: ColumnEmbedder): Map[Long, Seq[Long]] =
+        World.retrieveAll(DeepJoin.buildIndex(spark, repoDs, emb), queries, k)
       val equiM = Seq(
         "LSH Ensemble" -> {
           val lsh = LshEnsemble.build(repo.map(col => (col.id, col.cells)))
           queries.map(q => q.id -> lsh.topK(q.cells, k).map(_._1)).toMap
         },
-        "fastText" -> bandRetrieve(spark, c, new FastTextEmbedder(), k),
-        "BERT" -> bandRetrieve(spark, c, new PlmEmbedder(PlmConfig.bert, ctxCol), k),
-        "MPNet" -> bandRetrieve(spark, c, new PlmEmbedder(PlmConfig.mpnet, ctxCol), k),
-        "TaBERT" -> bandRetrieve(spark, c, new TabertEmbedder(), k),
-        "MLP" -> bandRetrieve(spark, c, World.trainMlp(spark, World.corpus(spark, cfg)), k),
-        "DeepJoin-DistilBERT" -> bandRetrieve(spark, c,
-          World.trainDeepJoin(spark, World.corpus(spark, cfg), Equi, PlmConfig.distilbert), k),
-        "DeepJoin-MPNet" -> bandRetrieve(spark, c,
-          World.trainDeepJoin(spark, World.corpus(spark, cfg), Equi, PlmConfig.mpnet), k),
+        "fastText" -> topK(new FastTextEmbedder()),
+        "BERT" -> topK(new PlmEmbedder(PlmConfig.bert, ctxCol)),
+        "MPNet" -> topK(new PlmEmbedder(PlmConfig.mpnet, ctxCol)),
+        "TaBERT" -> topK(new TabertEmbedder()),
+        "MLP" -> topK(World.trainMlp(spark, full)),
+        "DeepJoin-DistilBERT" -> topK(World.trainDeepJoin(spark, full, Equi, PlmConfig.distilbert)),
+        "DeepJoin-MPNet" -> topK(World.trainDeepJoin(spark, full, Equi, PlmConfig.mpnet)),
       )
       println(s"-- equi, |X| = $label")
       equiM.foreach { case (name, res) =>
-        val m = World.evalRetrieval(c, Equi, res, exEq, Seq(k))
+        val m = World.evalRetrieval(c, res, exEq, Seq(k), World.jnLookup(c, Equi))
         println(f"$name%-22s P@$k=${m(k)._1}%.3f NDCG@$k=${m(k)._2}%.3f")
       }
-      // Semantic part (tau = 0.9), methods of Table 8's lower block.
+      // Semantic part (tau = 0.9), methods of Table 8's lower block. Band
+      // repositories are not cached in World, so jn comes from this band's
+      // own PEXESO index.
       val tau = 0.9
       val px = repro.join.Pexeso.build(repo.map(col => (col.id, col.cells)))
       val exSem = queries.map(q => q.id -> px.topK(q.cells, tau, k)).toMap
       val semM = Seq(
         "LSH Ensemble" -> equiM.head._2,
         "fastText" -> equiM(1)._2,
-        "DeepJoin-DistilBERT" -> bandRetrieve(spark, c,
-          World.trainDeepJoin(spark, World.corpus(spark, cfg), Semantic(tau), PlmConfig.distilbert), k),
-        "DeepJoin-MPNet" -> bandRetrieve(spark, c,
-          World.trainDeepJoin(spark, World.corpus(spark, cfg), Semantic(tau), PlmConfig.mpnet), k),
+        "DeepJoin-DistilBERT" -> topK(
+          World.trainDeepJoin(spark, full, Semantic(tau), PlmConfig.distilbert)),
+        "DeepJoin-MPNet" -> topK(World.trainDeepJoin(spark, full, Semantic(tau), PlmConfig.mpnet)),
       )
       println(s"-- semantic (tau=$tau), |X| = $label")
       semM.foreach { case (name, res) =>
         val jnOf = (q: LakeColumn, id: Long) => px.jnOf(q.cells, tau, id)
-        val mtr = evalWithLookup(c, res, exSem, Seq(k), jnOf)
+        val mtr = World.evalRetrieval(c, res, exSem, Seq(k), jnOf)
         println(f"$name%-22s P@$k=${mtr(k)._1}%.3f NDCG@$k=${mtr(k)._2}%.3f")
       }
     }
-  }
-
-  private def bandRetrieve(spark: SparkSession, c: World.Corpus,
-                           emb: ColumnEmbedder, k: Int): Map[Long, Seq[Long]] = {
-    val idx = DeepJoin.buildIndex(DeepJoin.encodeAll(spark, c.repoDs, emb), emb)
-    World.retrieveAll(idx, c.queries, k)
-  }
-
-  /** evalRetrieval with a custom jn lookup (band repos are not cached in
-    * World, so the corpus-level lookups do not apply).
-    */
-  def evalWithLookup(c: World.Corpus, model: Map[Long, Seq[Long]],
-                     exact: Map[Long, Seq[(Long, Double)]], ks: Seq[Int],
-                     jnOf: (LakeColumn, Long) => Double): Map[Int, (Double, Double)] = {
-    import repro.eval.Metrics
-    ks.map { k =>
-      val (ps, ns) = c.queries.map { q =>
-        val ex = exact.getOrElse(q.id, Seq.empty)
-        val known = ex.toMap
-        val lookup = (id: Long) => known.getOrElse(id, jnOf(q, id))
-        val mod = model.getOrElse(q.id, Seq.empty)
-        (Metrics.precisionAtK(mod, ex.map(_._1), k),
-          Metrics.ndcgAtK(mod, ex.map(_._1), k, lookup))
-      }.unzip
-      k -> (Metrics.mean(ps), Metrics.mean(ns))
-    }.toMap
   }
 
   // --------------------------------------------- Tables 9-10 (text options)
@@ -219,7 +193,7 @@ object AccuracyBench {
         TextOption.all.foreach { opt =>
           val dj = World.trainDeepJoin(spark, c, jt, PlmConfig.mpnet, opt)
           val res = retrieve(spark, c, s"DJ-MPNet-${jt.label}-${opt.name}", dj)
-          val m = World.evalRetrieval(c, jt, res, exact, ks)
+          val m = World.evalRetrieval(c, res, exact, ks, World.jnLookup(c, jt))
           val ps = ks.map(k => f"${m(k)._1}%.3f").mkString(" ")
           val ns = ks.map(k => f"${m(k)._2}%.3f").mkString(" ")
           println(f"${opt.name}%-26s $ps | $ns")
@@ -246,7 +220,7 @@ object AccuracyBench {
           val dj = World.trainDeepJoin(spark, c, jt, PlmConfig.mpnet,
             TextOption.default, shuffleRate = rate)
           val res = retrieve(spark, c, s"DJ-MPNet-${jt.label}-r$rate", dj)
-          val m = World.evalRetrieval(c, jt, res, exact, ks)
+          val m = World.evalRetrieval(c, res, exact, ks, World.jnLookup(c, jt))
           val ps = ks.map(k => f"${m(k)._1}%.3f").mkString(" ")
           val ns = ks.map(k => f"${m(k)._2}%.3f").mkString(" ")
           println(f"rate=$rate%-21.1f $ps | $ns")

@@ -2,7 +2,10 @@ package repro.bench
 
 import org.apache.spark.sql.SparkSession
 
-/** Shared SparkSession builder for the spark-submit entrypoints in jobs/. */
+/** Creates every SparkSession: the spark-submit entrypoints in jobs/ and
+  * the test and bench suites (`SparkSpec`) all start Spark here. Spark's
+  * INFO logging is very chatty, so the log level is WARN.
+  */
 object JobSession {
   def create(name: String): SparkSession = {
     val s = SparkSession.builder()

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.apache.spark.sql.SparkSession
-import repro.core.DeepJoin
+import repro.core.{DeepJoin, DeepJoinIndex}
 import repro.embed._
 import repro.join.{Josie, LshEnsemble, Pexeso}
 import repro.lake.{LakeColumn, LakeConfig, LakeGenerator}
@@ -65,7 +65,7 @@ object TimingBench {
     def run(q: LakeColumn, k: Int): (Double, Double) = (0.0, timeMs(idx.topK(q.cells, tau, k)))
   }
 
-  private val idxCache = TrieMap.empty[(String, Int, String), repro.core.DeepJoinIndex]
+  private val idxCache = TrieMap.empty[(String, Int, String), DeepJoinIndex]
 
   /** HNSW index over a prefix of cached embeddings (built once per
     * (corpus, size, embedder); lighter construction parameters than the
@@ -73,22 +73,19 @@ object TimingBench {
     */
   def indexFor(cfgName: String, embName: String, n: Int,
                embeddings: Array[(Long, Array[Float])],
-               embedder: ColumnEmbedder): repro.core.DeepJoinIndex =
+               embedder: ColumnEmbedder): DeepJoinIndex =
     idxCache.getOrElseUpdate((cfgName, n, embName),
       DeepJoin.buildIndex(embeddings.take(n), embedder, m = 12, efConstruction = 64))
 
-  /** Embedding-based runner over a (cached) HNSW index; the query embedder
-    * may differ from the one that built the index (CPU vs GPU-sim).
+  /** Embedding-based runner: `DeepJoin.search` over a (cached) HNSW index.
+    * The query embedder may differ from the one that built the index (CPU
+    * vs GPU-sim rows share one graph and id mapping).
     */
-  final class EmbeddingRunner(idx: repro.core.DeepJoinIndex,
-                              queryEmbedder: ColumnEmbedder) extends Runner {
+  final class SearchRunner(idx: DeepJoinIndex, queryEmbedder: ColumnEmbedder) extends Runner {
+    private val index = new DeepJoinIndex(idx.hnsw, idx.ids, queryEmbedder)
     def run(q: LakeColumn, k: Int): (Double, Double) = {
-      val t0 = System.nanoTime()
-      val qv = queryEmbedder.embed(q)
-      val t1 = System.nanoTime()
-      idx.hnsw.search(qv, k, math.max(96, k + 16))
-      val t2 = System.nanoTime()
-      ((t1 - t0) / 1e6, (t2 - t0) / 1e6)
+      val (_, t) = DeepJoin.search(index, q, k)
+      (t.encodeMs, t.totalMs)
     }
   }
 
@@ -155,11 +152,11 @@ object TimingBench {
       row("LSH Ensemble", repo => new LshRunner(repo))
       row("JOSIE", repo => new JosieRunner(repo))
       row("fastText", repo =>
-        new EmbeddingRunner(indexFor(cfg.name, "fastText", repo.size, ftEmbAll, ft), ft))
+        new SearchRunner(indexFor(cfg.name, "fastText", repo.size, ftEmbAll, ft), ft))
       row("DeepJoin (CPU)", repo =>
-        new EmbeddingRunner(indexFor(cfg.name, "dj-equi", repo.size, djEmbAll, djCpu), djCpu))
+        new SearchRunner(indexFor(cfg.name, "dj-equi", repo.size, djEmbAll, djCpu), djCpu))
       row("DeepJoin (GPU)", repo =>
-        new EmbeddingRunner(indexFor(cfg.name, "dj-equi", repo.size, djEmbAll, djCpu), djGpu))
+        new SearchRunner(indexFor(cfg.name, "dj-equi", repo.size, djEmbAll, djCpu), djGpu))
 
       println(s"-- semantic joins (tau=0.9)")
       val (djCpuS, djGpuS) = deepJoinEmbedders(spark, cfg, Semantic(0.9))
@@ -173,9 +170,9 @@ object TimingBench {
       }
       println(f"${"PEXESO"}%-18s enc=${0.0}%8.2f  total=${pexTimes.map(t => f"$t%8.2f").mkString(" ")}  (first ${pexesoSizes.size} sizes)")
       row("DeepJoin (CPU)", repo =>
-        new EmbeddingRunner(indexFor(cfg.name, "dj-sem", repo.size, djEmbAllS, djCpuS), djCpuS))
+        new SearchRunner(indexFor(cfg.name, "dj-sem", repo.size, djEmbAllS, djCpuS), djCpuS))
       row("DeepJoin (GPU)", repo =>
-        new EmbeddingRunner(indexFor(cfg.name, "dj-sem", repo.size, djEmbAllS, djCpuS), djGpuS))
+        new SearchRunner(indexFor(cfg.name, "dj-sem", repo.size, djEmbAllS, djCpuS), djGpuS))
     }
   }
 
@@ -199,10 +196,10 @@ object TimingBench {
       println(s"-- equi-joins")
       row("LSH Ensemble", new LshRunner(repo))
       row("JOSIE", new JosieRunner(repo))
-      row("fastText", new EmbeddingRunner(indexFor(cfg.name, "fastText", n, ftEmb, ft), ft))
+      row("fastText", new SearchRunner(indexFor(cfg.name, "fastText", n, ftEmb, ft), ft))
       val djIdx = indexFor(cfg.name, "dj-equi", n, djEmb, djCpu)
-      row("DeepJoin (CPU)", new EmbeddingRunner(djIdx, djCpu))
-      row("DeepJoin (GPU)", new EmbeddingRunner(djIdx, djGpu))
+      row("DeepJoin (CPU)", new SearchRunner(djIdx, djCpu))
+      row("DeepJoin (GPU)", new SearchRunner(djIdx, djGpu))
 
       println(s"-- semantic joins (tau=0.9)")
       val (djCpuS, djGpuS) = deepJoinEmbedders(spark, cfg, Semantic(0.9))
@@ -210,8 +207,8 @@ object TimingBench {
       val nPex = math.min(n, sizesFor(cfg.name).head)
       row(s"PEXESO (|X|=$nPex)", new PexesoRunner(repo.take(nPex), 0.9))
       val djIdxS = indexFor(cfg.name, "dj-sem", n, djEmbS, djCpuS)
-      row("DeepJoin (CPU)", new EmbeddingRunner(djIdxS, djCpuS))
-      row("DeepJoin (GPU)", new EmbeddingRunner(djIdxS, djGpuS))
+      row("DeepJoin (CPU)", new SearchRunner(djIdxS, djCpuS))
+      row("DeepJoin (GPU)", new SearchRunner(djIdxS, djGpuS))
     }
   }
 
@@ -243,15 +240,15 @@ object TimingBench {
       }
       row("LSH Ensemble", new LshRunner(repo))
       row("JOSIE", new JosieRunner(repo))
-      row("fastText", new EmbeddingRunner(
+      row("fastText", new SearchRunner(
         indexFor(cfg.name, s"b$bi-fastText", repo.size, ftEmb, ft), ft))
       val djIdx = indexFor(cfg.name, s"b$bi-dj-equi", repo.size, djEmb, djCpu)
-      row("DeepJoin (CPU)", new EmbeddingRunner(djIdx, djCpu))
-      row("DeepJoin (GPU)", new EmbeddingRunner(djIdx, djGpu))
+      row("DeepJoin (CPU)", new SearchRunner(djIdx, djCpu))
+      row("DeepJoin (GPU)", new SearchRunner(djIdx, djGpu))
       row("PEXESO", new PexesoRunner(repo, 0.9))
       val djIdxS = indexFor(cfg.name, s"b$bi-dj-sem", repo.size, djEmbS, djCpuS)
-      row("DeepJoin-sem (CPU)", new EmbeddingRunner(djIdxS, djCpuS))
-      row("DeepJoin-sem (GPU)", new EmbeddingRunner(djIdxS, djGpuS))
+      row("DeepJoin-sem (CPU)", new SearchRunner(djIdxS, djCpuS))
+      row("DeepJoin-sem (GPU)", new SearchRunner(djIdxS, djGpuS))
     }
   }
 }

@@ -121,18 +121,6 @@ object World {
         TrainingData.semanticPositives(spark, c.train, tau, posThreshold)
     })
 
-  private val trainCellVecCache = TrieMap.empty[(String, Int), Map[Long, Array[Array[Float]]]]
-
-  /** True pairwise joinability between training columns (negative targets). */
-  def pairJn(c: Corpus, jt: JoinType): (LakeColumn, LakeColumn) => Double = jt match {
-    case Equi => (a, b) => Joinability.equiJn(a.cells, b.cells)
-    case Semantic(tau) =>
-      val vecs = trainCellVecCache.getOrElseUpdate((c.cfg.name, c.train.size),
-        c.train.par.map(col =>
-          col.id -> repro.embed.CellEmbedder.default.embedColumn(col.cells)).seq.toMap)
-      (a, b) => Joinability.semanticJn(vecs(a.id), vecs(b.id), tau)
-  }
-
   /** The paper's best shuffle rates (Tables 11–12). */
   def defaultShuffleRate(corpusName: String, jt: JoinType): Double =
     (corpusName, jt) match {
@@ -147,20 +135,20 @@ object World {
 
   private val modelCache = TrieMap.empty[String, PlmEmbedder]
 
+  /** Fine-tuning hyper-parameters shared by every table (Trainer.Config). */
+  private val learningRate = 2e-3
+  private val hardNegativeFrac = 0.25
+  private val mnrScale = 20.0
+
   /** Fine-tune a DeepJoin model: featurize (Spark), augment, train head. */
   def trainDeepJoin(spark: SparkSession, c: Corpus, jt: JoinType,
                     plm: PlmConfig,
                     option: TextOption = TextOption.default,
                     shuffleRate: Double = -1.0,
-                    epochs: Int = 2,
-                    hardNegativeFrac: Double = 0.25,
-                    mnrScale: Double = 20.0,
-                    loss: String = "mnr",
-                    headKind: String = "diag",
-                    lr: Double = 2e-3): PlmEmbedder = {
+                    epochs: Int = 2): PlmEmbedder = {
     val rate = if (shuffleRate >= 0) shuffleRate else defaultShuffleRate(c.cfg.name, jt)
     val cacheKey = Seq(c.cfg.name, c.train.size, jt.label, plm.name, option.name,
-      rate, epochs, hardNegativeFrac, mnrScale, loss, headKind, lr).mkString("/")
+      rate, epochs).mkString("/")
     modelCache.get(cacheKey) match {
       case Some(m) => return m
       case None =>
@@ -195,45 +183,20 @@ object World {
         .toMap
 
     val trainSeed = Words.mixSeed(c.cfg.name, jt.label, option.name, rate)
-    val effLr = if (lr > 0) lr else if (headKind == "diag") 5e-3 else 1e-3
-    val trainCfg = Trainer.Config(epochs = epochs, lr = effLr,
-      hardNegativeFrac = hardNegativeFrac, scale = mnrScale,
-      headKind = headKind, seed = trainSeed)
+    val trainCfg = Trainer.Config(epochs = epochs, lr = learningRate,
+      hardNegativeFrac = hardNegativeFrac, scale = mnrScale, seed = trainSeed)
 
+    // Masking uses the original x id even for shuffled copies (the
+    // shuffled column has the same joinability structure as its source).
+    val knownPos: Set[(Long, Long)] = pos0.map(p => (p.x.id, p.y.id)).toSet
+    val examples = augmented.zipWithIndex.map { case (p, i) =>
+      val xKey = if (i < pos.size) p.x.id else -(i - pos.size + 1L)
+      Trainer.Example(feats(xKey), feats(p.y.id), p.x.id, p.y.id, p.x.domain)
+    }.toIndexedSeq
     val (head, losses) =
-      if (loss == "mnr") {
-        // Masking uses the original x id even for shuffled copies (the
-        // shuffled column has the same joinability structure as its source).
-        val knownPos: Set[(Long, Long)] = pos0.map(p => (p.x.id, p.y.id)).toSet
-        val examples = augmented.zipWithIndex.map { case (p, i) =>
-          val xKey = if (i < pos.size) p.x.id else -(i - pos.size + 1L)
-          Trainer.Example(feats(xKey), feats(p.y.id), p.x.id, p.y.id, p.x.domain)
-        }.toIndexedSeq
-        Trainer.train(examples, base.cfg.dim, trainCfg, knownPositives = knownPos)
-      } else {
-        // Graded cosine regression: positives with their jn targets plus
-        // sampled same-domain and cross-domain negatives with true jn.
-        val jn = pairJn(c, jt)
-        val posEx = augmented.zipWithIndex.map { case (p, i) =>
-          val xKey = if (i < pos.size) p.x.id else -(i - pos.size + 1L)
-          Trainer.RegExample(feats(xKey), feats(p.y.id), p.jn.toFloat)
-        }
-        val rnd = new scala.util.Random(trainSeed ^ 0x9e9L)
-        val byDomain = c.train.groupBy(_.domain).view.mapValues(_.toIndexedSeq).toMap
-        val negEx = (0 until math.max(64, augmented.size * 3 / 2)).flatMap { i =>
-          val a = c.train(rnd.nextInt(c.train.size))
-          val b =
-            if (i % 2 == 0) {
-              val grp = byDomain(a.domain)
-              grp(rnd.nextInt(grp.size))
-            } else c.train(rnd.nextInt(c.train.size))
-          if (b.id == a.id) None
-          else Some(Trainer.RegExample(feats(a.id), feats(b.id), jn(a, b).toFloat))
-        }
-        Trainer.trainRegression((posEx ++ negEx).toIndexedSeq, base.cfg.dim, trainCfg)
-      }
+      Trainer.train(examples, base.cfg.dim, trainCfg, knownPositives = knownPos)
     Console.err.println(
-      f"[train/$loss] ${c.cfg.name}/${jt.label}/${option.name}/r=$rate%.1f pos=${augmented.size} " +
+      f"[train] ${c.cfg.name}/${jt.label}/${option.name}/r=$rate%.1f pos=${augmented.size} " +
       s"losses=${losses.map(l => f"$l%.3f").mkString(",")}")
     val model = new PlmEmbedder(plm, ctx, Some(head), idfPooling = true)
     modelCache.put(cacheKey, model)
@@ -257,10 +220,6 @@ object World {
 
   // ------------------------------------------------------------ retrieval
 
-  /** Build an HNSW index for an embedder over the corpus repository. */
-  def index(spark: SparkSession, c: Corpus, embedder: ColumnEmbedder): DeepJoinIndex =
-    DeepJoin.buildIndex(DeepJoin.encodeAll(spark, c.repoDs, embedder), embedder)
-
   /** Retrieve top-k ids for every query. */
   def retrieveAll(idx: DeepJoinIndex, queries: Seq[LakeColumn], k: Int,
                   ef: Int = 96): Map[Long, Seq[Long]] =
@@ -271,11 +230,13 @@ object World {
 
   // -------------------------------------------------------------- metrics
 
-  /** Mean precision@k and NDCG@k over queries for a ranked retrieval. */
-  def evalRetrieval(c: Corpus, jt: JoinType,
-                    model: Map[Long, Seq[Long]],
-                    exact: Map[Long, Seq[(Long, Double)]],
-                    ks: Seq[Int]): Map[Int, (Double, Double)] = {
+  /** Mean precision@k and NDCG@k over queries for a ranked retrieval;
+    * `lookup` gives the true joinability of a retrieved column outside the
+    * exact top-k (e.g. [[jnLookup]]).
+    */
+  def evalRetrieval(c: Corpus, model: Map[Long, Seq[Long]],
+                    exact: Map[Long, Seq[(Long, Double)]], ks: Seq[Int],
+                    lookup: (LakeColumn, Long) => Double): Map[Int, (Double, Double)] = {
     import repro.eval.Metrics
     val queries = c.queries
     ks.map { k =>
@@ -284,7 +245,6 @@ object World {
         val exIds = ex.map(_._1)
         val mod = model.getOrElse(q.id, Seq.empty)
         val jnKnown = ex.toMap
-        val lookup = jnLookup(c, jt)
         val jnOf = (id: Long) => jnKnown.getOrElse(id, lookup(q, id))
         (Metrics.precisionAtK(mod, exIds, k), Metrics.ndcgAtK(mod, exIds, k, jnOf))
       }.unzip

@@ -4,7 +4,7 @@ import repro.lake.LakeColumn
 import repro.text.{Contextualizer, Tokenizer}
 
 /** A projection applied on top of pooled PLM features (the "fine-tuned"
-  * part of DeepJoin — see [[repro.train.DenseHead]]).
+  * part of DeepJoin — see [[repro.train.DiagonalHead]]).
   */
 trait EmbeddingHead extends Serializable {
   def dIn: Int

@@ -33,26 +33,16 @@ object Metrics {
   /** Mean over queries. */
   def mean(xs: Seq[Double]): Double = if (xs.isEmpty) 0.0 else xs.sum / xs.size
 
-  /** Pooled precision/recall/F1 (Table 7 protocol): the relevant pool is the
-    * set of truly joinable columns among the union of all methods' results.
+  /** Pooled precision/recall/F1 (Table 7 protocol), micro-averaged across
+    * queries: the relevant pool of a query is the set of truly joinable
+    * columns among the union of all methods' results, and tp / retrieved /
+    * relevant are summed over all queries (more stable than averaging tiny
+    * per-query ratios, and the behaviour of the paper's single aggregate
+    * numbers).
     *
-    * @param retrieved  the method's retrieved column ids (one query)
-    * @param pool       union of ids retrieved by all compared methods
-    * @param isJoinable ground-truth judgement
-    */
-  def pooledPrf(retrieved: Seq[Long], pool: Set[Long],
-                isJoinable: Long => Boolean): (Double, Double, Double) = {
-    val relevantPool = pool.count(isJoinable)
-    val tp = retrieved.count(isJoinable)
-    val p = if (retrieved.isEmpty) 0.0 else tp.toDouble / retrieved.size
-    val r = if (relevantPool == 0) 0.0 else tp.toDouble / relevantPool
-    val f1 = if (p + r == 0) 0.0 else 2 * p * r / (p + r)
-    (p, r, f1)
-  }
-
-  /** Micro-averaged pooled P/R/F1 across queries: sums of tp / retrieved /
-    * relevant over all queries (more stable than averaging tiny per-query
-    * ratios, and the behaviour of the paper's single aggregate numbers).
+    * @param perQuery   per query: the method's retrieved column ids and the
+    *                   union of ids retrieved by all compared methods
+    * @param isJoinable ground-truth judgement (query index, column id)
     */
   def pooledPrfMicro(perQuery: Seq[(Seq[Long], Set[Long])],
                      isJoinable: (Int, Long) => Boolean): (Double, Double, Double) = {

@@ -16,11 +16,14 @@ import repro.lake.LakeColumn
   */
 object Joinability {
 
-  /** Equi-joinability jn(Q,X) = |Q ∩ X| / |Q| for two small columns. */
+  /** Equi-joinability jn(Q,X) = |Q ∩ X| / |Q| for two small columns, both
+    * taken as sets of cells (as JOSIE and LSH Ensemble take them).
+    */
   def equiJn(q: Seq[String], x: Seq[String]): Double = {
-    if (q.isEmpty) return 0.0
+    val qs = q.distinct
+    if (qs.isEmpty) return 0.0
     val xs = x.toSet
-    q.count(xs.contains).toDouble / q.size
+    qs.count(xs.contains).toDouble / qs.size
   }
 
   /** Semantic-joinability: fraction of q's vectors with a match in x. */
@@ -43,6 +46,9 @@ object Joinability {
 
   /** Exact equi top-k for every query, as a DataFrame job.
     *
+    * Columns are sets of cells: a repeated cell counts once on either side,
+    * so jn never exceeds 1 (matching [[equiJn]] and JOSIE).
+    *
     * Returns (queryId, columnId, jn, rank) with rank 1..k per query, ordered
     * by jn desc then columnId asc (the deterministic tie-break every method
     * in this repo uses).
@@ -51,9 +57,10 @@ object Joinability {
                repo: Dataset[LakeColumn], k: Int): DataFrame = {
     import spark.implicits._
     val qCells = queries
-      .select($"id".as("qid"), size($"cells").as("qsize"), explode($"cells").as("cell"))
+      .select($"id".as("qid"), array_distinct($"cells").as("cells"))
+      .select($"qid", size($"cells").as("qsize"), explode($"cells").as("cell"))
     val xCells = repo
-      .select($"id".as("xid"), explode($"cells").as("cell"))
+      .select($"id".as("xid"), explode(array_distinct($"cells")).as("cell"))
     val overlap = qCells.join(xCells, "cell")
       .groupBy($"qid", $"qsize", $"xid")
       .agg(count(lit(1)).as("ov"))
@@ -84,9 +91,9 @@ object Joinability {
   def equiSelfJoin(spark: SparkSession, cols: Dataset[LakeColumn],
                    t: Double): DataFrame = {
     import spark.implicits._
-    val a = cols.select($"id".as("xid"), size($"cells").as("xsize"),
-      explode($"cells").as("cell"))
-    val b = cols.select($"id".as("yid"), explode($"cells").as("cell"))
+    val a = cols.select($"id".as("xid"), array_distinct($"cells").as("cells"))
+      .select($"xid", size($"cells").as("xsize"), explode($"cells").as("cell"))
+    val b = cols.select($"id".as("yid"), explode(array_distinct($"cells")).as("cell"))
     a.join(b, "cell")
       .filter($"xid" =!= $"yid")
       .groupBy($"xid", $"xsize", $"yid")

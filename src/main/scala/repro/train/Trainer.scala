@@ -12,7 +12,7 @@ import scala.util.Random
   *   L = -1/N Σᵢ [ S(Xᵢ,Yᵢ) − log Σⱼ exp(S(Xᵢ,Yⱼ)) ],  S = scale·cos.
   *
   * Gradients are derived by hand through the cosine, the L2 normalization,
-  * and the head's layers; parameters are updated with Adam. The PLM features
+  * and the head's gains; parameters are updated with Adam. The PLM features
   * are frozen (cached per column), which is what makes the ablation sweeps
   * over contextualization and shuffle rate tractable.
   */
@@ -23,8 +23,6 @@ object Trainer {
       epochs: Int = 3,
       lr: Double = 1e-3,
       scale: Double = 20.0,
-      hidden: Int = 256,
-      dOut: Int = 0, // <= 0: use the input dimension (full identity residual)
       /** Fraction of epochs batched group-first (hard in-batch negatives);
         * the remainder use global shuffling (easy negatives), so the model
         * both separates domains and discriminates within them.
@@ -32,17 +30,7 @@ object Trainer {
       hardNegativeFrac: Double = 0.0,
       /** AdamW-style decoupled weight decay (the paper trains with 0.01). */
       weightDecay: Double = 0.01,
-      /** "diag" = per-dimension gains (capacity matched to a few thousand
-        * pairs); "dense" = two-layer projection with truncation residual.
-        */
-      headKind: String = "diag",
       seed: Long = 0x7a11L)
-
-  private def newHead(dIn: Int, cfg: Config): TrainableHead =
-    if (cfg.headKind == "dense") {
-      val dOut = if (cfg.dOut <= 0) dIn else math.min(cfg.dOut, dIn)
-      new DenseHead(dIn, cfg.hidden, dOut, cfg.seed)
-    } else new DiagonalHead(dIn, cfg.seed)
 
   /** One training example: features of a positive pair plus the identities
     * needed for negative masking and hard-negative batching.
@@ -65,9 +53,9 @@ object Trainer {
     */
   def train(examples: IndexedSeq[Example], dIn: Int,
             cfg: Config = Config(),
-            knownPositives: Set[(Long, Long)] = Set.empty): (TrainableHead, Seq[Double]) = {
+            knownPositives: Set[(Long, Long)] = Set.empty): (DiagonalHead, Seq[Double]) = {
     require(examples.nonEmpty, "no training examples")
-    val head = newHead(dIn, cfg)
+    val head = new DiagonalHead(dIn)
     val adam = new Adam(head.parameters.map(_.length), cfg.lr, weightDecay = cfg.weightDecay)
     val rnd = new Random(cfg.seed)
     val losses = scala.collection.mutable.ArrayBuffer.empty[Double]
@@ -97,74 +85,13 @@ object Trainer {
     (head, losses.toSeq)
   }
 
-  /** Convenience for plain feature pairs (random batching, no masking). */
-  def trainPairs(pairs: IndexedSeq[(Array[Float], Array[Float])], dIn: Int,
-                 cfg: Config = Config()): (TrainableHead, Seq[Double]) =
-    train(pairs.zipWithIndex.map { case ((x, y), i) =>
-      Example(x, y, i.toLong, 1000000L + i, group = i % 7)
-    }, dIn, cfg)
-
-  /** A regression example: a feature pair with its joinability target. */
-  final case class RegExample(x: Array[Float], y: Array[Float], target: Float)
-
-  /** Cosine-similarity regression fine-tuning: minimize
-    * (cos(e(X), e(Y)) − jn)² over positives and sampled negatives.
-    *
-    * This is the CosineSimilarityLoss alternative the sentence-transformers
-    * losses page lists next to the multiple-negatives ranking loss the paper
-    * picked. At full corpus scale MNR's in-batch negatives are almost never
-    * joinable; at this reproduction's ~1/170 scale MNR saturates quickly and
-    * flattens the ordering *within* the high-joinability band that top-k
-    * precision measures, so the graded regression objective is the default
-    * here (both are implemented; see DESIGN.md).
-    */
-  def trainRegression(examples: IndexedSeq[RegExample], dIn: Int,
-                      cfg: Config = Config()): (TrainableHead, Seq[Double]) = {
-    require(examples.nonEmpty, "no training examples")
-    val head = newHead(dIn, cfg)
-    val adam = new Adam(head.parameters.map(_.length), cfg.lr, weightDecay = cfg.weightDecay)
-    val rnd = new Random(cfg.seed)
-    val losses = scala.collection.mutable.ArrayBuffer.empty[Double]
-
-    var epoch = 0
-    while (epoch < cfg.epochs) {
-      val order = rnd.shuffle(examples.indices.toVector)
-      var epochLoss = 0.0
-      var nBatches = 0
-      order.grouped(cfg.batch).foreach { idxs =>
-        val n = idxs.size
-        val grads = head.parameters.map(w => new Array[Float](w.length))
-        var batchLoss = 0.0
-        idxs.foreach { ei =>
-          val ex = examples(ei)
-          val fx = head.forward(ex.x)
-          val fy = head.forward(ex.y)
-          val cos = VecOps.dot(fx._3, fy._3)
-          val err = cos - ex.target
-          batchLoss += err * err
-          val g = 2.0f * err / n
-          val gU = VecOps.copy(fy._3); VecOps.scale(gU, g)
-          val gV = VecOps.copy(fx._3); VecOps.scale(gV, g)
-          head.backward(ex.x, fx, gU, grads)
-          head.backward(ex.y, fy, gV, grads)
-        }
-        adam.update(head.parameters, grads)
-        epochLoss += batchLoss / n
-        nBatches += 1
-      }
-      losses += (if (nBatches > 0) epochLoss / nBatches else 0.0)
-      epoch += 1
-    }
-    (head, losses.toSeq)
-  }
-
   /** One batch step; returns the batch loss. */
-  private[train] def step(head: TrainableHead, adam: Adam,
+  private[train] def step(head: DiagonalHead, adam: Adam,
                           batch: Seq[Example],
                           cfg: Config,
                           knownPositives: Set[(Long, Long)]): Double = {
     val n = batch.size
-    val fx = batch.map(p => head.forward(p.x)) // (h, e, u) for X side
+    val fx = batch.map(p => head.forward(p.x)) // (e, u) for X side
     val fy = batch.map(p => head.forward(p.y))
     val s = cfg.scale.toFloat
 
@@ -185,7 +112,7 @@ object Trainer {
       var j = 0
       while (j < n) {
         if (allowed(i)(j)) {
-          p(i)(j) = s * VecOps.dot(fx(i)._3, fy(j)._3)
+          p(i)(j) = s * VecOps.dot(fx(i)._2, fy(j)._2)
           if (p(i)(j) > mx) mx = p(i)(j)
         }
         j += 1
@@ -218,8 +145,8 @@ object Trainer {
       while (j < n) {
         if (allowed(i)(j)) {
           val g = (p(i)(j) - (if (i == j) 1.0f else 0.0f)) * invN * s
-          VecOps.axpy(g, fy(j)._3, gU(i))
-          VecOps.axpy(g, fx(i)._3, gV(j))
+          VecOps.axpy(g, fy(j)._2, gU(i))
+          VecOps.axpy(g, fx(i)._2, gV(j))
         }
         j += 1
       }
@@ -229,8 +156,8 @@ object Trainer {
     val grads = head.parameters.map(w => new Array[Float](w.length))
     i = 0
     while (i < n) {
-      head.backward(batch(i).x, fx(i), gU(i), grads)
-      head.backward(batch(i).y, fy(i), gV(i), grads)
+      head.backward(fx(i), gU(i), grads)
+      head.backward(fy(i), gV(i), grads)
       i += 1
     }
     adam.update(head.parameters, grads)

@@ -1,7 +1,6 @@
 package repro.ann
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.embed.VecOps
 import scala.util.Random
 
 object AnnFixtures {
@@ -119,86 +118,5 @@ class HnswSpec extends AnyFunSuite {
     val h = new Hnsw(dim)
     data.take(7).foreach(h.add)
     assert(h.search(data(0), 20, 64).length == 7)
-  }
-}
-
-class KMeansSpec extends AnyFunSuite {
-  private val data = AnnFixtures.clustered(600, 8, 4, seed = 3L)
-
-  test("produces k centroids") {
-    assert(KMeans.fit(data, 4, seed = 1L).k == 4)
-  }
-  test("k capped by data size") {
-    assert(KMeans.fit(data.take(3), 10, seed = 1L).k == 3)
-  }
-  test("assignment maps to the nearest centroid") {
-    val m = KMeans.fit(data, 4, seed = 1L)
-    data.take(50).foreach { v =>
-      val a = m.assign(v)
-      val best = m.centroids.indices.minBy(i => VecOps.l2Sq(v, m.centroids(i)))
-      assert(a == best)
-    }
-  }
-  test("clusters recover the generative structure (low within-distance)") {
-    val m = KMeans.fit(data, 4, iters = 20, seed = 2L)
-    val within = data.map(v => VecOps.l2(v, m.centroids(m.assign(v)))).sum / data.size
-    val r = new Random(5)
-    val global = data.map(v => VecOps.l2(v, data(r.nextInt(data.size)))).sum / data.size
-    assert(within < global * 0.7)
-  }
-  test("nearest returns centroids in ascending distance") {
-    val m = KMeans.fit(data, 4, seed = 1L)
-    val near = m.nearest(data(0), 4)
-    val ds = near.map(i => VecOps.l2Sq(data(0), m.centroids(i)))
-    assert(ds.toSeq == ds.sorted.toSeq)
-  }
-  test("deterministic in the seed") {
-    val a = KMeans.fit(data, 4, seed = 9L).centroids.map(_.toSeq).toSeq
-    val b = KMeans.fit(data, 4, seed = 9L).centroids.map(_.toSeq).toSeq
-    assert(a == b)
-  }
-  test("empty input is rejected") {
-    assertThrows[IllegalArgumentException](KMeans.fit(IndexedSeq.empty, 2))
-  }
-}
-
-class IvfPqSpec extends AnyFunSuite {
-  private val dim = 16
-  private val data = AnnFixtures.clustered(1200, dim, 8, seed = 21L)
-
-  test("build requires divisible dimension") {
-    assertThrows[IllegalArgumentException](IvfPq.build(data, mSub = 5))
-  }
-  test("size equals the number of indexed vectors") {
-    assert(IvfPq.build(data, nlist = 16, mSub = 4).size == data.size)
-  }
-  test("search returns k results sorted by approximate distance") {
-    val idx = IvfPq.build(data, nlist = 16, mSub = 4)
-    val res = idx.search(data(10), 10, nprobe = 8)
-    assert(res.length == 10)
-    assert(res.map(_._2).toSeq == res.map(_._2).sorted.toSeq)
-  }
-  test("recall@10 with generous probing exceeds 0.6") {
-    val idx = IvfPq.build(data, nlist = 16, mSub = 8)
-    val r = new Random(4)
-    val recalls = (0 until 20).map { _ =>
-      val q = data(r.nextInt(data.size))
-      AnnFixtures.recallAtK(idx.search(q, 10, nprobe = 16), BruteForce.search(data, q, 10))
-    }
-    val mean = recalls.sum / recalls.size
-    assert(mean > 0.6, s"mean recall $mean")
-  }
-  test("more probes do not reduce recall substantially") {
-    val idx = IvfPq.build(data, nlist = 16, mSub = 4)
-    val r = new Random(6)
-    val qs = IndexedSeq.fill(15)(data(r.nextInt(data.size)))
-    def rec(np: Int) = qs.map { q =>
-      AnnFixtures.recallAtK(idx.search(q, 10, np), BruteForce.search(data, q, 10))
-    }.sum / qs.size
-    assert(rec(16) >= rec(2) - 0.05)
-  }
-  test("nlist is capped by data size") {
-    val idx = IvfPq.build(data.take(10), nlist = 64, mSub = 4)
-    assert(idx.nlist == 10)
   }
 }

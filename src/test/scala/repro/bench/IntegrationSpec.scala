@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.core.DeepJoin
 import repro.embed.{FastTextEmbedder, PlmConfig}
 import repro.lake.LakeConfig
 import repro.text.TextOption
@@ -48,10 +49,10 @@ class WorldIntegrationSpec extends SparkSpec {
     assert(v.length == dj.dim)
   }
   test("retrieval + evaluation produces sane precision for fastText") {
-    val idx = World.index(spark, c, new FastTextEmbedder())
+    val idx = DeepJoin.buildIndex(spark, c.repoDs, new FastTextEmbedder())
     val res = World.retrieveAll(idx, c.queries, 10)
     val ex = World.exactEqui(spark, c, 10)
-    val m = World.evalRetrieval(c, Equi, res, ex, Seq(10))
+    val m = World.evalRetrieval(c, res, ex, Seq(10), World.jnLookup(c, Equi))
     val (p, n) = m(10)
     assert(p >= 0.0 && p <= 1.0)
     assert(n >= 0.0 && n <= 1.5) // model NDCG can slightly exceed 1 on ties

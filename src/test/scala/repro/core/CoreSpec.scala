@@ -54,13 +54,23 @@ class DeepJoinSpec extends SparkSpec {
     }
     assert(recalls.sum / recalls.size > 0.85)
   }
+  private lazy val plm = new PlmEmbedder(PlmConfig.distilbert, new Contextualizer(TextOption.default))
+  private lazy val plmIndex = DeepJoin.buildIndex(spark, repoDs, plm)
+
   test("search with a trained-style PLM embedder works end to end") {
-    val ctx = new Contextualizer(TextOption.default)
-    val plm = new PlmEmbedder(PlmConfig.distilbert, ctx)
-    val idx = DeepJoin.buildIndex(spark, repoDs, plm)
-    val (res, t) = DeepJoin.search(idx, queries.head, 5)
+    val (res, t) = DeepJoin.search(plmIndex, queries.head, 5)
     assert(res.size == 5)
     assert(t.totalMs > 0)
+  }
+  test("search over a shared graph with the parallel (GPU-sim) embedder returns the same ids") {
+    val parallelPlm = new PlmEmbedder(plm.cfg, plm.ctx, plm.head, parallel = true,
+      idfPooling = plm.idfPooling)
+    val gpu = new DeepJoinIndex(plmIndex.hnsw, plmIndex.ids, parallelPlm)
+    queries.foreach { q =>
+      val (cpuRes, _) = DeepJoin.search(plmIndex, q, 10)
+      val (gpuRes, _) = DeepJoin.search(gpu, q, 10)
+      assert(gpuRes.map(_._1) == cpuRes.map(_._1), s"query ${q.id}")
+    }
   }
   test("retrieved neighbors are dominated by the query's domain") {
     val idx = DeepJoin.buildIndex(spark, repoDs, embedder)

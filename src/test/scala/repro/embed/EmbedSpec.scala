@@ -179,10 +179,27 @@ class ColumnEmbedderSpec extends AnyFunSuite {
     assert(VecOps.cosine(a, b) < 0.9999f)
   }
   test("a head changes the embedding dimension and output") {
-    val head = new repro.train.DenseHead(PlmConfig.mpnet.dim, 32, 128)
+    // A truncating head: the embedder's dimension and output follow dOut.
+    val head = new EmbeddingHead {
+      def dIn: Int = PlmConfig.mpnet.dim
+      def dOut: Int = 128
+      def apply(x: Array[Float]): Array[Float] =
+        VecOps.normalizeInPlace(x.take(dOut))
+    }
     val e = new PlmEmbedder(PlmConfig.mpnet, ctx, Some(head))
     assert(e.dim == 128)
     assert(e.embed(col).length == 128)
+  }
+  test("a diagonal head with non-zero gains changes the output") {
+    val head = new repro.train.DiagonalHead(PlmConfig.mpnet.dim)
+    val plain = new PlmEmbedder(PlmConfig.mpnet, ctx).embed(col)
+    val e = new PlmEmbedder(PlmConfig.mpnet, ctx, Some(head))
+    assert(e.dim == PlmConfig.mpnet.dim)
+    assert(VecOps.cosine(plain, e.embed(col)) > 0.99999f) // zero gains: identity
+    head.g.indices.foreach(i => head.g(i) = if (i % 2 == 0) 0.5f else -0.5f)
+    val v = e.embed(col)
+    assert(v.length == e.dim)
+    assert(VecOps.cosine(plain, v) < 0.9999f)
   }
   test("idf pooling changes the cell encoding when frequencies differ") {
     val freq = Map(col.cells.head -> 10000L)

@@ -55,20 +55,22 @@ class MetricsSpec extends AnyFunSuite {
   test("mean averages") {
     assert(Metrics.mean(Seq(1.0, 2.0, 3.0)) == 2.0)
   }
+  // Pooled P/R/F1 (Table 7) of a single query, via pooledPrfMicro.
   test("pooledPrf computes precision, recall and F1") {
     val pool = Set(1L, 2L, 3L, 4L)
     val isJoinable = Set(1L, 2L, 3L)
-    val (p, r, f1) = Metrics.pooledPrf(Seq(1L, 2L, 4L), pool, isJoinable.contains)
+    val (p, r, f1) = Metrics.pooledPrfMicro(Seq((Seq(1L, 2L, 4L), pool)),
+      (_, id) => isJoinable.contains(id))
     assert(math.abs(p - 2.0 / 3) < 1e-9)
     assert(math.abs(r - 2.0 / 3) < 1e-9)
     assert(math.abs(f1 - 2.0 / 3) < 1e-9)
   }
   test("pooledPrf with nothing retrieved is all zeros") {
-    val (p, r, f1) = Metrics.pooledPrf(Seq.empty, Set(1L), _ => true)
-    assert(p == 0.0 && f1 == 0.0)
+    val (p, r, f1) = Metrics.pooledPrfMicro(Seq((Seq.empty, Set(1L))), (_, _) => true)
+    assert(p == 0.0 && r == 0.0 && f1 == 0.0)
   }
   test("pooledPrf with an empty relevant pool has zero recall") {
-    val (_, r, _) = Metrics.pooledPrf(Seq(1L), Set(1L), _ => false)
+    val (_, r, _) = Metrics.pooledPrfMicro(Seq((Seq(1L), Set(1L))), (_, _) => false)
     assert(r == 0.0)
   }
   test("pooledPrfMicro aggregates across queries") {
@@ -83,7 +85,8 @@ class MetricsSpec extends AnyFunSuite {
     assert(f1 > 0.0)
   }
   test("perfect retrieval gives F1 = 1") {
-    val (p, r, f1) = Metrics.pooledPrf(Seq(1L, 2L), Set(1L, 2L), Set(1L, 2L).contains)
+    val (p, r, f1) = Metrics.pooledPrfMicro(Seq((Seq(1L, 2L), Set(1L, 2L))),
+      (_, id) => Set(1L, 2L).contains(id))
     assert(p == 1.0 && r == 1.0 && f1 == 1.0)
   }
 }

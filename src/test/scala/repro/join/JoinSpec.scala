@@ -3,7 +3,7 @@ package repro.join
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.embed.CellEmbedder
-import repro.lake.{LakeConfig, LakeGenerator}
+import repro.lake.{LakeColumn, LakeConfig, LakeGenerator}
 
 object JoinFixtures {
   val cfg: LakeConfig = LakeConfig.webtable()
@@ -101,6 +101,42 @@ class JoinabilitySparkSpec extends SparkSpec {
       "SELECT r.id AS id, CAST(COUNT(*) AS VARCHAR) AS ov FROM q JOIN r ON q.cell = r.cell GROUP BY r.id",
       "q" -> qDf.select($"cell".cast("string").as("cell")),
       "r" -> rDf.select($"id".cast("string").as("id"), $"cell".cast("string").as("cell")))
+  }
+  test("repeated cells count once: jn <= 1 and JOSIE, equiTopK, equiSelfJoin and equiJn agree") {
+    import spark.implicits._
+    def col(id: Long, cells: String*) =
+      LakeColumn(id, "t", "c", "", 0, -1, 0, cells, cells.indices.map(_.toLong))
+    val cols = Seq(
+      col(1, "a", "a", "a", "b"),
+      col(2, "a", "b", "c", "d"),
+      col(3, "b", "b", "c"),
+      col(4, "x", "x", "y"),
+      col(5, "a", "c", "c", "c", "e"))
+    val qs = Seq(col(100, "a", "a", "b"), col(101, "c", "c", "x", "b"),
+      col(102, "a", "b", "c", "a"))
+    val k = 3
+    val ds = spark.createDataset(cols)
+    val viaSpark = Joinability.equiTopKMap(spark, spark.createDataset(qs), ds, k)
+    val josie = Josie.build(cols.map(c => (c.id, c.cells)))
+    def sameRanking(got: Seq[(Long, Double)], exp: Seq[(Long, Double)]): Unit = {
+      assert(got.map(_._1) == exp.map(_._1))
+      got.zip(exp).foreach { case ((_, a), (_, b)) => assert(math.abs(a - b) < 1e-9) }
+    }
+    qs.foreach { q =>
+      val brute = cols.map(x => (x.id, Joinability.equiJn(q.cells, x.cells)))
+        .filter(_._2 > 0).sortBy { case (id, jn) => (-jn, id) }.take(k)
+      assert(brute.forall(_._2 <= 1.0))
+      sameRanking(viaSpark.getOrElse(q.id, Seq.empty), brute)
+      sameRanking(josie.topK(q.cells, k), brute)
+    }
+    val pairs = Joinability.equiSelfJoin(spark, ds, 0.5).as[(Long, Long, Double)]
+      .collect().map(p => (p._1, p._2) -> p._3).toMap
+    val expPairs = (for {
+      a <- cols; b <- cols if a.id != b.id
+      jn = Joinability.equiJn(a.cells, b.cells) if jn >= 0.5
+    } yield (a.id, b.id) -> jn).toMap
+    assert(pairs.keySet == expPairs.keySet)
+    pairs.foreach { case (p, jn) => assert(math.abs(jn - expPairs(p)) < 1e-9) }
   }
   test("equiSelfJoin finds exactly the pairs above the threshold") {
     import spark.implicits._

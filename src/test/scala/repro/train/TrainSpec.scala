@@ -22,51 +22,45 @@ object TrainFixtures {
   }
 }
 
-class DenseHeadSpec extends AnyFunSuite {
+class DiagonalHeadSpec extends AnyFunSuite {
   test("output is unit norm") {
-    val h = new DenseHead(16, 8, 12, seed = 1L)
+    val h = new DiagonalHead(16)
+    h.g(3) = 0.7f
     val x = Array.fill(16)(0.3f)
     assert(math.abs(VecOps.norm(h(x)) - 1f) < 1e-5)
   }
   test("output dimension is dOut") {
-    val h = new DenseHead(16, 8, 12, seed = 1L)
-    assert(h(Array.fill(16)(1f)).length == 12)
-  }
-  test("residual truncation requires dOut <= dIn") {
-    assertThrows[IllegalArgumentException](new DenseHead(8, 4, 16))
+    val h = new DiagonalHead(16)
+    assert(h.dOut == 16)
+    assert(h(Array.fill(16)(1f)).length == 16)
   }
   test("untrained head approximately preserves the input direction") {
-    val h = new DenseHead(16, 8, 16, seed = 2L)
+    val h = new DiagonalHead(16)
     val r = new Random(3)
     val x = VecOps.normalizeInPlace(Array.fill(16)(r.nextGaussian().toFloat))
-    assert(VecOps.cosine(h(x), x) > 0.8f)
+    assert(VecOps.cosine(h(x), x) > 0.9999f)
   }
   test("parameters have the expected shapes") {
-    val h = new DenseHead(10, 6, 8)
-    assert(h.parameters.map(_.length) == Seq(60, 6, 48, 8))
+    val h = new DiagonalHead(10)
+    assert(h.parameters.map(_.length) == Seq(10))
   }
 
   /** Finite-difference check of the hand-derived backward pass. */
-  test("gradient check (finite differences) for DenseHead") {
-    gradCheck(new DenseHead(6, 4, 5, seed = 7L), dIn = 6)
-  }
   test("gradient check (finite differences) for DiagonalHead") {
-    gradCheck(new DiagonalHead(6, seed = 7L), dIn = 6)
-  }
-
-  private def gradCheck(head: TrainableHead, dIn: Int): Unit = {
+    val head = new DiagonalHead(6)
+    val dIn = 6
     val r = new Random(11)
     val x = VecOps.normalizeInPlace(Array.fill(dIn)(r.nextGaussian().toFloat))
     val t = VecOps.normalizeInPlace(Array.fill(head.dOut)(r.nextGaussian().toFloat))
     def loss(): Double = { // L = -t . u(x)
-      val u = head.forward(x)._3
+      val u = head.forward(x)._2
       -VecOps.dot(t, u).toDouble
     }
     // Analytic gradients.
     val grads = head.parameters.map(p => new Array[Float](p.length))
     val fwd = head.forward(x)
     val gU = t.map(v => -v)
-    head.backward(x, fwd, gU, grads)
+    head.backward(fwd, gU, grads)
     // Compare a sample of coordinates against central differences.
     val eps = 1e-3f
     head.parameters.zip(grads).foreach { case (p, g) =>
@@ -90,12 +84,12 @@ class TrainerSpec extends AnyFunSuite {
 
   test("MNR loss decreases over epochs") {
     val (_, losses) = Trainer.train(pairs, dim,
-      Trainer.Config(epochs = 4, lr = 2e-3, headKind = "dense", seed = 1L))
+      Trainer.Config(epochs = 4, lr = 2e-3, seed = 1L))
     assert(losses.last < losses.head, s"losses $losses")
   }
   test("MNR training increases positive-pair cosine relative to negatives") {
     val (head, _) = Trainer.train(pairs, dim,
-      Trainer.Config(epochs = 4, lr = 2e-3, headKind = "dense", seed = 2L))
+      Trainer.Config(epochs = 4, lr = 2e-3, seed = 2L))
     val posCos = pairs.take(100).map(p => VecOps.dot(head(p.x), head(p.y)).toDouble)
     val r = new Random(4)
     val negCos = (0 until 100).map { _ =>
@@ -106,7 +100,7 @@ class TrainerSpec extends AnyFunSuite {
   }
   test("diag head training works and keeps dimension") {
     val (head, losses) = Trainer.train(pairs, dim,
-      Trainer.Config(epochs = 3, lr = 5e-3, headKind = "diag", seed = 3L))
+      Trainer.Config(epochs = 3, lr = 5e-3, seed = 3L))
     assert(head.dOut == dim)
     assert(losses.last <= losses.head + 1e-9)
   }
@@ -130,20 +124,6 @@ class TrainerSpec extends AnyFunSuite {
   test("empty training set is rejected") {
     assertThrows[IllegalArgumentException](
       Trainer.train(IndexedSeq.empty, dim, Trainer.Config()))
-  }
-  test("regression loss decreases and fits targets") {
-    val exs = pairs.take(200).map(p => Trainer.RegExample(p.x, p.y, 0.9f)) ++
-      pairs.drop(200).take(200).zip(pairs.take(200)).map { case (a, b) =>
-        Trainer.RegExample(a.x, b.y, 0.0f)
-      }
-    val (_, losses) = Trainer.trainRegression(exs.toIndexedSeq, dim,
-      Trainer.Config(epochs = 4, lr = 5e-3, headKind = "diag"))
-    assert(losses.last < losses.head)
-  }
-  test("trainPairs convenience wrapper runs") {
-    val (_, losses) = Trainer.trainPairs(
-      pairs.take(64).map(p => (p.x, p.y)), dim, Trainer.Config(epochs = 1))
-    assert(losses.size == 1)
   }
 }
 
