@@ -1,76 +1,33 @@
 package repro.jobs
 
+import org.apache.spark.sql.SparkSession
 import repro.bench._
 
-/** spark-submit entrypoints, one per evaluation table of the paper.
-  * Usage: spark-submit --class repro.jobs.Table03EquiAccuracy <jar>
+/** spark-submit entrypoint for the paper's evaluation tables.
+  * Usage: spark-submit --class repro.jobs.TableJobs <jar> <table>
+  * where <table> is one of 2, 3, 4-6, 7, 8, 9-10, 11-12, 13, 14, 15.
   */
-object Table02DatasetStats {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table02")
-    StatsAndExpertBench.table2(spark); spark.stop()
-  }
-}
+object TableJobs {
+  private val tables: Seq[(String, SparkSession => Unit)] = Seq(
+    "2" -> StatsAndExpertBench.table2,
+    "3" -> AccuracyBench.table3,
+    "4-6" -> AccuracyBench.tables4to6,
+    "7" -> StatsAndExpertBench.table7,
+    "8" -> AccuracyBench.table8,
+    "9-10" -> AccuracyBench.tables9to10,
+    "11-12" -> AccuracyBench.tables11to12,
+    "13" -> TimingBench.table13,
+    "14" -> TimingBench.table14,
+    "15" -> TimingBench.table15)
 
-object Table03EquiAccuracy {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table03")
-    AccuracyBench.table3(spark); spark.stop()
-  }
-}
-
-object Table0456SemanticAccuracy {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table04-06")
-    AccuracyBench.tables4to6(spark); spark.stop()
-  }
-}
-
-object Table07ExpertEval {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table07")
-    StatsAndExpertBench.table7(spark); spark.stop()
-  }
-}
-
-object Table08ColumnSize {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table08")
-    AccuracyBench.table8(spark); spark.stop()
-  }
-}
-
-object Table0910Contextualization {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table09-10")
-    AccuracyBench.tables9to10(spark); spark.stop()
-  }
-}
-
-object Table1112Shuffle {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table11-12")
-    AccuracyBench.tables11to12(spark); spark.stop()
-  }
-}
-
-object Table13Scaling {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table13")
-    TimingBench.table13(spark); spark.stop()
-  }
-}
-
-object Table14VaryK {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table14")
-    TimingBench.table14(spark); spark.stop()
-  }
-}
-
-object Table15ColumnSizeTime {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table15")
-    TimingBench.table15(spark); spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    tables.find(t => args.headOption.contains(t._1)) match {
+      case Some((id, run)) =>
+        val spark = JobSession.create(s"table$id")
+        try run(spark) finally spark.stop()
+      case None =>
+        Console.err.println(
+          s"usage: repro.jobs.TableJobs <table>, one of: ${tables.map(_._1).mkString(", ")}")
+        sys.exit(2)
+    }
 }

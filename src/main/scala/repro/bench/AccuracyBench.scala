@@ -6,7 +6,6 @@ import repro.embed._
 import repro.join.{Joinability, LshEnsemble}
 import repro.lake.{LakeColumn, LakeConfig, LakeGenerator}
 import repro.text.{Contextualizer, TextOption}
-import scala.collection.concurrent.TrieMap
 
 /** Accuracy experiments: Tables 3–12 of the paper.
   *
@@ -23,21 +22,19 @@ object AccuracyBench {
 
   // ------------------------------------------------------------- retrieval
 
-  private val retrievalCache = TrieMap.empty[(String, Int, String), Map[Long, Seq[Long]]]
-
-  /** Retrieve top-kMax ids per query with an embedder (cached by name). */
+  /** Retrieve top-kMax ids per query with an embedder (memoized by name). */
   def retrieve(spark: SparkSession, c: World.Corpus, name: String,
                emb: ColumnEmbedder): Map[Long, Seq[Long]] =
-    retrievalCache.getOrElseUpdate((c.cfg.name, c.repo.size, name), {
+    World.memo(("retrieval", c.cfg.name, c.repo.size, name)) {
       World.retrieveAll(DeepJoin.buildIndex(spark, c.repoDs, emb), c.queries, kMax)
-    })
+    }
 
-  /** LSH Ensemble retrieval (cached). */
+  /** LSH Ensemble retrieval (memoized). */
   def retrieveLsh(c: World.Corpus): Map[Long, Seq[Long]] =
-    retrievalCache.getOrElseUpdate((c.cfg.name, c.repo.size, "LSH Ensemble"), {
+    World.memo(("retrieval", c.cfg.name, c.repo.size, "LSH Ensemble")) {
       val lsh = LshEnsemble.build(c.repo.map(col => (col.id, col.cells)))
       c.queries.map(q => q.id -> lsh.topK(q.cells, kMax).map(_._1)).toMap
-    })
+    }
 
   // --------------------------------------------------------- method suites
 
@@ -72,20 +69,22 @@ object AccuracyBench {
 
   // -------------------------------------------------------------- printing
 
+  /** precision@k for every k, then NDCG@k, of one retrieval against the
+    * corpus's exact top-kMax: "p@10 .. p@50 | ndcg@10 .. ndcg@50".
+    */
+  private def scores(spark: SparkSession, c: World.Corpus, jt: JoinType,
+                     res: Map[Long, Seq[Long]]): String = {
+    val m = World.evalRetrieval(c, res, World.exact(spark, c, jt, kMax), ks,
+      World.jnLookup(c, jt))
+    ks.map(k => f"${m(k)._1}%.3f").mkString(" ") + " | " +
+      ks.map(k => f"${m(k)._2}%.3f").mkString(" ")
+  }
+
   /** Evaluate methods and print one corpus block of an accuracy table. */
   def printBlock(spark: SparkSession, c: World.Corpus, jt: JoinType,
                  methods: Seq[(String, Map[Long, Seq[Long]])]): Unit = {
-    val exact = jt match {
-      case Equi => World.exactEqui(spark, c, kMax)
-      case Semantic(tau) => World.exactSemantic(spark, c, tau, kMax)
-    }
     println(s"-- ${c.cfg.name}, ${jt.label}: precision@k | ndcg@k, k=${ks.mkString(",")}")
-    methods.foreach { case (name, res) =>
-      val m = World.evalRetrieval(c, res, exact, ks, World.jnLookup(c, jt))
-      val ps = ks.map(k => f"${m(k)._1}%.3f").mkString(" ")
-      val ns = ks.map(k => f"${m(k)._2}%.3f").mkString(" ")
-      println(f"$name%-22s $ps | $ns")
-    }
+    methods.foreach { case (name, res) => println(f"$name%-22s ${scores(spark, c, jt, res)}") }
   }
 
   /** Table 3: equi-join accuracy on both corpora. */
@@ -185,18 +184,11 @@ object AccuracyBench {
       println(s"== Table $t: column-to-text transformation, ${jt.label}, DeepJoin-MPNet")
       Seq(LakeConfig.webtable(), LakeConfig.wikitable()).foreach { cfg =>
         val c = World.corpus(spark, cfg)
-        val exact = jt match {
-          case Equi => World.exactEqui(spark, c, kMax)
-          case Semantic(tau) => World.exactSemantic(spark, c, tau, kMax)
-        }
         println(s"-- ${cfg.name}: precision@k | ndcg@k, k=${ks.mkString(",")}")
         TextOption.all.foreach { opt =>
           val dj = World.trainDeepJoin(spark, c, jt, PlmConfig.mpnet, opt)
           val res = retrieve(spark, c, s"DJ-MPNet-${jt.label}-${opt.name}", dj)
-          val m = World.evalRetrieval(c, res, exact, ks, World.jnLookup(c, jt))
-          val ps = ks.map(k => f"${m(k)._1}%.3f").mkString(" ")
-          val ns = ks.map(k => f"${m(k)._2}%.3f").mkString(" ")
-          println(f"${opt.name}%-26s $ps | $ns")
+          println(f"${opt.name}%-26s ${scores(spark, c, jt, res)}")
         }
       }
     }
@@ -211,19 +203,12 @@ object AccuracyBench {
       println(s"== Table $t: cell shuffle ablation, ${jt.label}, DeepJoin-MPNet")
       Seq(LakeConfig.webtable(), LakeConfig.wikitable()).foreach { cfg =>
         val c = World.corpus(spark, cfg)
-        val exact = jt match {
-          case Equi => World.exactEqui(spark, c, kMax)
-          case Semantic(tau) => World.exactSemantic(spark, c, tau, kMax)
-        }
         println(s"-- ${cfg.name}: precision@k | ndcg@k, k=${ks.mkString(",")}")
         shuffleRates.foreach { rate =>
           val dj = World.trainDeepJoin(spark, c, jt, PlmConfig.mpnet,
-            TextOption.default, shuffleRate = rate)
+            shuffleRate = Some(rate))
           val res = retrieve(spark, c, s"DJ-MPNet-${jt.label}-r$rate", dj)
-          val m = World.evalRetrieval(c, res, exact, ks, World.jnLookup(c, jt))
-          val ps = ks.map(k => f"${m(k)._1}%.3f").mkString(" ")
-          val ns = ks.map(k => f"${m(k)._2}%.3f").mkString(" ")
-          println(f"rate=$rate%-21.1f $ps | $ns")
+          println(f"rate=$rate%-21.1f ${scores(spark, c, jt, res)}")
         }
       }
     }

@@ -38,9 +38,15 @@ object StatsAndExpertBench {
     qEnts.count(xs.contains).toDouble / qEnts.size
   }
 
+  /** Table 7's cut-off k, semantic threshold τ, and the entity joinability
+    * at which the "experts" call a column joinable.
+    */
+  private val k = 10
+  private val tau = 0.9
+  private val joinableThreshold = 0.5
+
   /** Table 7: pooled precision/recall/F1 against expert (entity) labels. */
-  def table7(spark: SparkSession, k: Int = 10, tau: Double = 0.9,
-             joinableThreshold: Double = 0.5): Unit = {
+  def table7(spark: SparkSession): Unit = {
     println(s"== Table 7: semantic joins labeled by 'experts' (latent entity " +
       s"joinability >= $joinableThreshold), k=$k, tau=$tau")
     Seq(LakeConfig.webtable(), LakeConfig.wikitable()).foreach { cfg =>

@@ -18,28 +18,24 @@ import repro.text.{Contextualizer, TextOption}
   * Repository sizes are the paper's scaled by ~1/50: webtable 20K..100K
   * (paper 1M..5M), wikitable 4K..20K (paper 200K..1M). Smaller repositories
   * are prefixes of the largest one, so each sweep generates data once, and
-  * HNSW indexes are cached per (corpus, size, embedder) — CPU and GPU-sim
-  * rows share the same index, as they do in the paper.
+  * HNSW indexes are memoized per (corpus, size, embedder) — CPU and GPU-sim
+  * rows share the same index, as they do in the paper. Repositories,
+  * embeddings and indexes live in [[World.memo]], shared across Tables
+  * 13/14/15 (the suites run in one JVM).
   */
 object TimingBench {
 
-  import scala.collection.concurrent.TrieMap
-
-  // Generated repositories and bulk embeddings are shared across Tables
-  // 13/14/15 (the suites run in one JVM).
-  private val repoCache = TrieMap.empty[(String, Int), Seq[LakeColumn]]
-  private val embCache = TrieMap.empty[(String, Int, String), Array[(Long, Array[Float])]]
-
   def repoFor(spark: SparkSession, cfg: LakeConfig, n: Int): Seq[LakeColumn] =
-    repoCache.getOrElseUpdate((cfg.name, n),
-      LakeGenerator.columns(spark, cfg, n).collect().toSeq.sortBy(_.id))
+    World.memo(("timingRepo", cfg.name, n)) {
+      LakeGenerator.columns(spark, cfg, n).collect().toSeq.sortBy(_.id)
+    }
 
   def embFor(spark: SparkSession, cfg: LakeConfig, repo: Seq[LakeColumn],
              name: String, emb: ColumnEmbedder): Array[(Long, Array[Float])] =
-    embCache.getOrElseUpdate((cfg.name, repo.size, name), {
+    World.memo(("embeddings", cfg.name, repo.size, name)) {
       import spark.implicits._
       DeepJoin.encodeAll(spark, spark.createDataset(repo), emb)
-    })
+    }
 
   /** A per-query timed runner: returns (encodeMs, totalMs). */
   trait Runner { def run(q: LakeColumn, k: Int): (Double, Double) }
@@ -65,19 +61,18 @@ object TimingBench {
     def run(q: LakeColumn, k: Int): (Double, Double) = (0.0, timeMs(idx.topK(q.cells, tau, k)))
   }
 
-  private val idxCache = TrieMap.empty[(String, Int, String), DeepJoinIndex]
-
-  /** HNSW index over a prefix of cached embeddings (built once per
+  /** HNSW index over a prefix of memoized embeddings (built once per
     * (corpus, size, embedder); lighter construction parameters than the
     * accuracy benches — this table measures time, not recall).
     */
   def indexFor(cfgName: String, embName: String, n: Int,
                embeddings: Array[(Long, Array[Float])],
                embedder: ColumnEmbedder): DeepJoinIndex =
-    idxCache.getOrElseUpdate((cfgName, n, embName),
-      DeepJoin.buildIndex(embeddings.take(n), embedder, m = 12, efConstruction = 64))
+    World.memo(("timingIndex", cfgName, n, embName)) {
+      DeepJoin.buildIndex(embeddings.take(n), embedder, m = 12, efConstruction = 64)
+    }
 
-  /** Embedding-based runner: `DeepJoin.search` over a (cached) HNSW index.
+  /** Embedding-based runner: `DeepJoin.search` over a (memoized) HNSW index.
     * The query embedder may differ from the one that built the index (CPU
     * vs GPU-sim rows share one graph and id mapping).
     */
@@ -89,15 +84,16 @@ object TimingBench {
     }
   }
 
-  /** Mean (encodeMs, totalMs) over the query workload. */
-  def measure(runner: Runner, queries: Seq[LakeColumn], k: Int,
-              warmup: Int = 3): (Double, Double) = {
-    queries.take(warmup).foreach(runner.run(_, k))
+  /** Mean (encodeMs, totalMs) over the query workload, after 3 warm-up
+    * queries.
+    */
+  def measure(runner: Runner, queries: Seq[LakeColumn], k: Int): (Double, Double) = {
+    queries.take(3).foreach(runner.run(_, k))
     val times = queries.map(runner.run(_, k))
     (times.map(_._1).sum / times.size, times.map(_._2).sum / times.size)
   }
 
-  /** Sweep sizes for a corpus (scaled ~1/20 from the paper's 1M..5M and
+  /** Sweep sizes for a corpus (scaled ~1/50 from the paper's 1M..5M and
     * 200K..1M — large enough that the linear growth of JOSIE / LSH Ensemble
     * / PEXESO vs the flat DeepJoin curve is clearly visible).
     */
@@ -106,9 +102,6 @@ object TimingBench {
                else Seq(4000, 8000, 12000, 16000, 20000)
     base.map(n => math.max(1000, (n * World.scale).toInt))
   }
-
-  private def queriesFor(cfg: LakeConfig, n: Int = 10): Seq[LakeColumn] =
-    LakeGenerator.queriesLocal(cfg, n)
 
   /** DeepJoin embedders (CPU and GPU-sim) for timing, trained at accuracy
     * scale and reused across repository sizes (as the paper trains once).
@@ -129,7 +122,7 @@ object TimingBench {
       val sizes = sizesFor(cfg.name)
       println(s"== Table 13 (${cfg.name}): ms/query vs |X| = ${sizes.mkString(",")} " +
         s"(paper: ${if (cfg.name == "webtable") "1M..5M" else "200K..1M"}), k=$k")
-      val queries = queriesFor(cfg)
+      val queries = LakeGenerator.queriesLocal(cfg, 10)
       val repoAll = repoFor(spark, cfg, sizes.max)
 
       val (djCpu, djGpu) = deepJoinEmbedders(spark, cfg, Equi)
@@ -182,7 +175,7 @@ object TimingBench {
     Seq(LakeConfig.webtable(), LakeConfig.wikitable()).foreach { cfg =>
       val n = sizesFor(cfg.name).max
       println(s"== Table 14 (${cfg.name}): ms/query vs k = ${ksSweep.mkString(",")}, |X|=$n")
-      val queries = queriesFor(cfg)
+      val queries = LakeGenerator.queriesLocal(cfg, 10)
       val repo = repoFor(spark, cfg, n)
       val (djCpu, djGpu) = deepJoinEmbedders(spark, cfg, Equi)
       val ft = new FastTextEmbedder()

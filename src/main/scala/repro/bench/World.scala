@@ -3,7 +3,7 @@ package repro.bench
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.{DeepJoin, DeepJoinIndex}
 import repro.embed._
-import repro.join.{Joinability, Josie, LshEnsemble, Pexeso}
+import repro.join.{Joinability, Pexeso}
 import repro.lake.{LakeColumn, LakeConfig, LakeGenerator}
 import repro.text.{Contextualizer, TextOption}
 import repro.train.{MlpBaseline, Trainer, TrainingData}
@@ -56,48 +56,53 @@ object World {
     }
   }
 
-  private val corpusCache = TrieMap.empty[(String, Int, Int, Int), Corpus]
+  /** The one memo of every bench result; each key is a tuple that starts
+    * with its kind. Memoized computations nest (`exact` calls `pexeso`,
+    * `trainDeepJoin` calls `positives`), which `TrieMap` allows: its
+    * `getOrElseUpdate` runs `f` outside the map. djbench clears World by
+    * reflecting over its `mutable.Map` fields, so the memo must stay one.
+    */
+  private val memos = TrieMap.empty[Product, Any]
+
+  private[bench] def memo[A](key: Product)(f: => A): A =
+    memos.getOrElseUpdate(key, f).asInstanceOf[A]
 
   def corpus(spark: SparkSession, cfg: LakeConfig,
              nRepo: Int = repoN, nTrain: Int = trainN,
              nQuery: Int = queryN): Corpus =
-    corpusCache.getOrElseUpdate((cfg.name, nRepo, nTrain, nQuery), {
+    memo(("corpus", cfg.name, nRepo, nTrain, nQuery)) {
       val repoDs = LakeGenerator.columns(spark, cfg, nRepo).cache()
       val trainDs = LakeGenerator.columns(spark, cfg, nTrain, idOffset = 500000000L).cache()
       val repo = repoDs.collect().toSeq.sortBy(_.id)
       val train = trainDs.collect().toSeq.sortBy(_.id)
       val queries = LakeGenerator.queriesLocal(cfg, nQuery)
       Corpus(cfg, repo, train, queries, repoDs, trainDs)
-    })
+    }
 
   // ---------------------------------------------------------------- labels
 
-  private val exactEquiCache = TrieMap.empty[(String, Int, Int), Map[Long, Seq[(Long, Double)]]]
-  private val pexesoCache = TrieMap.empty[(String, Int), Pexeso]
-
-  /** Exact equi top-k per query (Spark inverted-list job). */
-  def exactEqui(spark: SparkSession, c: Corpus, k: Int): Map[Long, Seq[(Long, Double)]] =
-    exactEquiCache.getOrElseUpdate((c.cfg.name, c.repo.size, k), {
-      import spark.implicits._
-      val qDs = spark.createDataset(c.queries)
-      Joinability.equiTopKMap(spark, qDs, c.repoDs, k)
-    })
+  /** Exact top-k per query, the ground truth of every accuracy table
+    * (Section 5.1): inverted-list overlap search on Spark for equi-joins,
+    * PEXESO (data-parallel over queries) for semantic joins.
+    */
+  def exact(spark: SparkSession, c: Corpus, jt: JoinType,
+            k: Int): Map[Long, Seq[(Long, Double)]] =
+    memo(("exact", c.cfg.name, c.repo.size, jt, k)) {
+      jt match {
+        case Equi =>
+          import spark.implicits._
+          Joinability.equiTopKMap(spark, spark.createDataset(c.queries), c.repoDs, k)
+        case Semantic(tau) =>
+          val px = pexeso(c)
+          c.queries.par.map(q => q.id -> px.topK(q.cells, tau, k)).seq.toMap
+      }
+    }
 
   /** The PEXESO index over the corpus repository (shared across τ). */
   def pexeso(c: Corpus): Pexeso =
-    pexesoCache.getOrElseUpdate((c.cfg.name, c.repo.size),
-      Pexeso.build(c.repo.map(col => (col.id, col.cells))))
-
-  private val exactSemCache = TrieMap.empty[(String, Int, Long, Int), Map[Long, Seq[(Long, Double)]]]
-
-  /** Exact semantic top-k per query (PEXESO, data-parallel over queries). */
-  def exactSemantic(spark: SparkSession, c: Corpus, tau: Double,
-                    k: Int): Map[Long, Seq[(Long, Double)]] =
-    exactSemCache.getOrElseUpdate(
-      (c.cfg.name, c.repo.size, java.lang.Double.doubleToLongBits(tau), k), {
-        val px = pexeso(c)
-        c.queries.par.map(q => q.id -> px.topK(q.cells, tau, k)).seq.toMap
-      })
+    memo(("pexeso", c.cfg.name, c.repo.size)) {
+      Pexeso.build(c.repo.map(col => (col.id, col.cells)))
+    }
 
   /** True joinability of (query, column) under the join type. */
   def jnLookup(c: Corpus, jt: JoinType): (LakeColumn, Long) => Double = jt match {
@@ -111,15 +116,15 @@ object World {
 
   // ------------------------------------------------------------- training
 
-  /** Positive pairs for the corpus under the join type (cached). */
-  private val positivesCache = TrieMap.empty[(String, String, Int), Seq[TrainingData.Pair]]
-
+  /** Positive pairs for the corpus under the join type (memoized). */
   def positives(spark: SparkSession, c: Corpus, jt: JoinType): Seq[TrainingData.Pair] =
-    positivesCache.getOrElseUpdate((c.cfg.name, jt.label, c.train.size), jt match {
-      case Equi => TrainingData.equiPositives(spark, c.trainDs, posThreshold)
-      case Semantic(tau) =>
-        TrainingData.semanticPositives(spark, c.train, tau, posThreshold)
-    })
+    memo(("positives", c.cfg.name, jt.label, c.train.size)) {
+      jt match {
+        case Equi => TrainingData.equiPositives(spark, c.trainDs, posThreshold)
+        case Semantic(tau) =>
+          TrainingData.semanticPositives(spark, c.train, tau, posThreshold)
+      }
+    }
 
   /** The paper's best shuffle rates (Tables 11–12). */
   def defaultShuffleRate(corpusName: String, jt: JoinType): Double =
@@ -133,74 +138,71 @@ object World {
   /** Cap on training pairs, to keep ablation sweeps tractable. */
   val maxTrainPairs = 20000
 
-  private val modelCache = TrieMap.empty[String, PlmEmbedder]
-
   /** Fine-tuning hyper-parameters shared by every table (Trainer.Config). */
   private val learningRate = 2e-3
-  private val hardNegativeFrac = 0.25
   private val mnrScale = 20.0
 
-  /** Fine-tune a DeepJoin model: featurize (Spark), augment, train head. */
+  /** Fine-tune a DeepJoin model: featurize (Spark), augment, train head.
+    * The last `epochs / 2` epochs batch group-first (hard negatives).
+    * `shuffleRate` defaults to the paper's best rate for the corpus.
+    */
   def trainDeepJoin(spark: SparkSession, c: Corpus, jt: JoinType,
                     plm: PlmConfig,
                     option: TextOption = TextOption.default,
-                    shuffleRate: Double = -1.0,
+                    shuffleRate: Option[Double] = None,
                     epochs: Int = 2): PlmEmbedder = {
-    val rate = if (shuffleRate >= 0) shuffleRate else defaultShuffleRate(c.cfg.name, jt)
-    val cacheKey = Seq(c.cfg.name, c.train.size, jt.label, plm.name, option.name,
-      rate, epochs).mkString("/")
-    modelCache.get(cacheKey) match {
-      case Some(m) => return m
-      case None =>
-    }
-    // DeepJoin's fine-tuned encoder pools cells idf-weighted (the paper's
-    // "attention focuses on the cells more probable to match"); raw PLM
-    // baselines do not (their pre-training never saw the repository).
-    val ctx = new Contextualizer(option, frequency = c.cellFrequency)
-    val base = new PlmEmbedder(plm, ctx, head = None, idfPooling = true)
+    val rate = shuffleRate.getOrElse(defaultShuffleRate(c.cfg.name, jt))
+    memo(("model", c.cfg.name, c.train.size, jt.label, plm.name, option.name, rate, epochs)) {
+      // DeepJoin's fine-tuned encoder pools cells idf-weighted (the paper's
+      // "attention focuses on the cells more probable to match"); raw PLM
+      // baselines do not (their pre-training never saw the repository).
+      val ctx = new Contextualizer(option, frequency = c.cellFrequency)
+      val base = new PlmEmbedder(plm, ctx, head = None, idfPooling = true)
 
-    val pos0 = positives(spark, c, jt)
-    val pos =
-      if (pos0.size <= maxTrainPairs) pos0
-      else {
-        val r = new scala.util.Random(0xca11L)
-        r.shuffle(pos0.toVector).take(maxTrainPairs)
+      val pos0 = positives(spark, c, jt)
+      val pos =
+        if (pos0.size <= maxTrainPairs) pos0
+        else {
+          val r = new scala.util.Random(0xca11L)
+          r.shuffle(pos0.toVector).take(maxTrainPairs)
+        }
+      val augmented = TrainingData.augment(pos, rate, seed = 0x5fffL)
+
+      // Featurize every distinct column (including shuffled copies) on Spark.
+      import spark.implicits._
+      val originals = c.train
+      val shuffledXs = augmented.drop(pos.size).map(_.x)
+      val toEncode: Seq[(Long, LakeColumn)] =
+        originals.map(col => (col.id, col)) ++
+          shuffledXs.zipWithIndex.map { case (col, i) => (-(i + 1L), col) }
+      val feats: Map[Long, Array[Float]] =
+        spark.createDataset(toEncode)
+          .repartition(spark.sparkContext.defaultParallelism * 2)
+          .mapPartitions(_.map { case (key, col) => (key, base.baseFeatures(col)) })
+          .collect()
+          .toMap
+
+      val trainSeed = Words.mixSeed(c.cfg.name, jt.label, option.name, rate)
+      val trainCfg = Trainer.Config(epochs = epochs, lr = learningRate,
+        hardEpochs = epochs / 2, scale = mnrScale, seed = trainSeed)
+
+      // Masking uses the original x id even for shuffled copies (the
+      // shuffled column has the same joinability structure as its source).
+      val knownPos: Set[(Long, Long)] = pos0.map(p => (p.x.id, p.y.id)).toSet
+      val examples = augmented.zipWithIndex.map { case (p, i) =>
+        val xKey = if (i < pos.size) p.x.id else -(i - pos.size + 1L)
+        Trainer.Example(feats(xKey), feats(p.y.id), p.x.id, p.y.id, p.x.domain)
+      }.toIndexedSeq
+      val (head, losses) =
+        Trainer.train(examples, base.cfg.dim, trainCfg, knownPositives = knownPos)
+      val tagged = losses.zipWithIndex.map { case (l, e) =>
+        f"$l%.3f/" + (if (trainCfg.grouped(e)) "grouped" else "shuffled")
       }
-    val augmented = TrainingData.augment(pos, rate, seed = 0x5fffL)
-
-    // Featurize every distinct column (including shuffled copies) on Spark.
-    import spark.implicits._
-    val originals = c.train
-    val shuffledXs = augmented.drop(pos.size).map(_.x)
-    val toEncode: Seq[(Long, LakeColumn)] =
-      originals.map(col => (col.id, col)) ++
-        shuffledXs.zipWithIndex.map { case (col, i) => (-(i + 1L), col) }
-    val feats: Map[Long, Array[Float]] =
-      spark.createDataset(toEncode)
-        .repartition(spark.sparkContext.defaultParallelism * 2)
-        .mapPartitions(_.map { case (key, col) => (key, base.baseFeatures(col)) })
-        .collect()
-        .toMap
-
-    val trainSeed = Words.mixSeed(c.cfg.name, jt.label, option.name, rate)
-    val trainCfg = Trainer.Config(epochs = epochs, lr = learningRate,
-      hardNegativeFrac = hardNegativeFrac, scale = mnrScale, seed = trainSeed)
-
-    // Masking uses the original x id even for shuffled copies (the
-    // shuffled column has the same joinability structure as its source).
-    val knownPos: Set[(Long, Long)] = pos0.map(p => (p.x.id, p.y.id)).toSet
-    val examples = augmented.zipWithIndex.map { case (p, i) =>
-      val xKey = if (i < pos.size) p.x.id else -(i - pos.size + 1L)
-      Trainer.Example(feats(xKey), feats(p.y.id), p.x.id, p.y.id, p.x.domain)
-    }.toIndexedSeq
-    val (head, losses) =
-      Trainer.train(examples, base.cfg.dim, trainCfg, knownPositives = knownPos)
-    Console.err.println(
-      f"[train] ${c.cfg.name}/${jt.label}/${option.name}/r=$rate%.1f pos=${augmented.size} " +
-      s"losses=${losses.map(l => f"$l%.3f").mkString(",")}")
-    val model = new PlmEmbedder(plm, ctx, Some(head), idfPooling = true)
-    modelCache.put(cacheKey, model)
-    model
+      Console.err.println(
+        f"[train] ${c.cfg.name}/${jt.label}/${option.name}/r=$rate%.1f pos=${augmented.size} " +
+        s"losses=${tagged.mkString(",")}")
+      new PlmEmbedder(plm, ctx, Some(head), idfPooling = true)
+    }
   }
 
   private object Words {
@@ -221,10 +223,10 @@ object World {
   // ------------------------------------------------------------ retrieval
 
   /** Retrieve top-k ids for every query. */
-  def retrieveAll(idx: DeepJoinIndex, queries: Seq[LakeColumn], k: Int,
-                  ef: Int = 96): Map[Long, Seq[Long]] =
+  def retrieveAll(idx: DeepJoinIndex, queries: Seq[LakeColumn],
+                  k: Int): Map[Long, Seq[Long]] =
     queries.map { q =>
-      val (res, _) = DeepJoin.search(idx, q, k, ef)
+      val (res, _) = DeepJoin.search(idx, q, k)
       q.id -> res.map(_._1)
     }.toMap
 

@@ -37,17 +37,6 @@ final case class PlmConfig(
     ffnLayers: Int,
     seed: Long) extends Serializable
 
-object PlmEmbedder {
-  /** Untrained relative weight of each metadata segment (cells dominate, as
-    * they do in plain mean pooling over a mostly-cells token sequence).
-    */
-  final case class SegWeights(
-      title: Float = 0.45f,
-      colname: Float = 0.35f,
-      stat: Float = 0.25f,
-      context: Float = 0.35f) extends Serializable
-}
-
 object PlmConfig {
   val distilbert: PlmConfig = PlmConfig(
     "DistilBERT", dim = 256, charNgrams = true, minNgram = 3, maxNgram = 4,
@@ -79,7 +68,6 @@ final class PlmEmbedder(
     val ctx: Contextualizer,
     val head: Option[EmbeddingHead] = None,
     val parallel: Boolean = false,
-    val segWeights: PlmEmbedder.SegWeights = PlmEmbedder.SegWeights(),
     /** Weight cell contributions by inverse corpus frequency during pooling.
       * This models what the paper attributes to *fine-tuned* attention —
       * focusing on the cells more likely to discriminate a match — so it is
@@ -116,10 +104,12 @@ final class PlmEmbedder(
   private val statEmb = new HashEmbedder(dStat, cfg.seed ^ 0x57a7L, useCharNgrams = false)
   private val contextEmb = new HashEmbedder(dStat, cfg.seed ^ 0xc0deL, cfg.charNgrams)
 
-  private def wTitle = segWeights.title
-  private def wColname = segWeights.colname
-  private def wStat = segWeights.stat
-  private def wContext = segWeights.context
+  // Untrained relative weight of each metadata segment (cells dominate, as
+  // they do in plain mean pooling over a mostly-cells token sequence).
+  private val wTitle = 0.45f
+  private val wColname = 0.35f
+  private val wStat = 0.25f
+  private val wContext = 0.35f
 
   // Fixed seeded feed-forward weights over the cell segment: a smooth
   // deterministic mixing map standing in for frozen pre-trained FFN blocks.

@@ -1,7 +1,5 @@
 package repro.join
 
-import org.apache.spark.sql.{Dataset, SparkSession}
-import repro.lake.LakeColumn
 import scala.collection.mutable
 
 /** JOSIE (Zhu et al., SIGMOD 2019): exact top-k overlap set similarity
@@ -29,7 +27,7 @@ final class Josie private (
   /** Exact top-k columns by jn(Q, X) = |Q ∩ X| / |Q|. */
   def topK(queryCells: Seq[String], k: Int): Seq[(Long, Double)] = {
     val qSize = queryCells.distinct.size
-    if (qSize == 0 || numColumns == 0) return Seq.empty
+    if (k <= 0 || qSize == 0 || numColumns == 0) return Seq.empty
     // Query tokens present in the dictionary, rare-first.
     val qTokens = queryCells.distinct.iterator
       .map(tokenOf.get(_))
@@ -124,13 +122,5 @@ object Josie {
     val postings = postingsBuf.map(_.toArray).toArray
     val dfOf = postings.map(_.length)
     new Josie(colIds, colSizes, tokenOf, postings, dfOf)
-  }
-
-  /** Build from a Dataset (collects; index structures live on the driver,
-    * as Faiss-style indexes do in the paper).
-    */
-  def build(spark: SparkSession, repo: Dataset[LakeColumn]): Josie = {
-    import spark.implicits._
-    build(repo.map(col => (col.id, col.cells)).collect().toSeq)
   }
 }

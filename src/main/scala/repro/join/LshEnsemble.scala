@@ -1,7 +1,5 @@
 package repro.join
 
-import org.apache.spark.sql.{Dataset, SparkSession}
-import repro.lake.LakeColumn
 import scala.collection.mutable
 
 /** LSH Ensemble (Zhu et al., PVLDB 2016): approximate containment search by
@@ -55,8 +53,7 @@ object LshEnsemble {
   final class Partition(
       val ids: Array[Long],
       val sigs: Array[Array[Long]],
-      val upper: Int,
-      bandRows: Int) extends Serializable {
+      val upper: Int) extends Serializable {
 
     private val nBands = sigs.headOption.map(_.length / bandRows).getOrElse(0)
     private val table: java.util.HashMap[Long, mutable.ArrayBuffer[Int]] = {
@@ -101,9 +98,13 @@ object LshEnsemble {
     }
   }
 
+  /** Size partitions, MinHash signature length, and rows per LSH band. */
+  private val nPartitions = 8
+  private val sig = 64
+  private val bandRows = 4
+
   /** Build from a collected repository. */
-  def build(cols: Seq[(Long, Seq[String])], nPartitions: Int = 8,
-            sig: Int = 64, bandRows: Int = 4): LshEnsemble = {
+  def build(cols: Seq[(Long, Seq[String])]): LshEnsemble = {
     val mh = new MinHash(sig)
     val bySize = cols.map { case (id, cells) => (id, cells.distinct) }
       .sortBy { case (id, cells) => (cells.size, id) }
@@ -113,13 +114,8 @@ object LshEnsemble {
       val ids = grp.map(_._1).toArray
       val sigs = grp.map(g => mh.signature(g._2)).toArray
       val upper = grp.map(_._2.size).max
-      new Partition(ids, sigs, upper, bandRows)
+      new Partition(ids, sigs, upper)
     }.toArray
     new LshEnsemble(mh, parts)
-  }
-
-  def build(spark: SparkSession, repo: Dataset[LakeColumn]): LshEnsemble = {
-    import spark.implicits._
-    build(repo.map(c => (c.id, c.cells)).collect().toSeq)
   }
 }

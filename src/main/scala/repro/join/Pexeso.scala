@@ -1,6 +1,6 @@
 package repro.join
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.embed.{CellEmbedder, VecOps}
 import repro.lake.LakeColumn
 import scala.collection.mutable
@@ -24,8 +24,7 @@ final class Pexeso private (
     val colIds: Array[Long],
     cellVecs: Array[Array[Array[Float]]],
     pivotDists: Array[Array[Array[Float]]], // [col][cell][pivot]
-    pivots: Array[Array[Float]],
-    embedder: CellEmbedder) extends Serializable {
+    pivots: Array[Array[Float]]) extends Serializable {
 
   def numColumns: Int = colIds.length
   private def nPivots: Int = pivots.length
@@ -69,8 +68,8 @@ final class Pexeso private (
 
   /** Exact top-k columns by semantic joinability (Definition 2.3). */
   def topK(queryCells: Seq[String], tau: Double, k: Int): Seq[(Long, Double)] = {
-    val q = embedder.embedColumn(queryCells)
-    if (q.isEmpty || numColumns == 0) return Seq.empty
+    val q = CellEmbedder.default.embedColumn(queryCells)
+    if (k <= 0 || q.isEmpty || numColumns == 0) return Seq.empty
     val qPiv = queryPivotDists(q)
     val tF = tau.toFloat
     // Max-heap on (-count, id) so the worst kept result is on top.
@@ -109,7 +108,7 @@ final class Pexeso private (
   /** Exact semantic jn(Q, ·) for a set of column ids (query embedded once). */
   def jnMap(queryCells: Seq[String], tau: Double,
             ids: Seq[Long]): Map[Long, Double] = {
-    val q = embedder.embedColumn(queryCells)
+    val q = CellEmbedder.default.embedColumn(queryCells)
     if (q.isEmpty) return ids.map(_ -> 0.0).toMap
     val qPiv = queryPivotDists(q)
     ids.map { id =>
@@ -123,9 +122,12 @@ final class Pexeso private (
 
 object Pexeso {
 
+  /** Number of pivots, and the seed of the pivot sample. */
+  private val nPivots = 5
+  private val seed = 0x9eL
+
   /** Greedy max-min pivot selection over a sample of cell vectors. */
-  private def selectPivots(sample: IndexedSeq[Array[Float]], nPivots: Int,
-                           seed: Long): Array[Array[Float]] = {
+  private def selectPivots(sample: IndexedSeq[Array[Float]]): Array[Array[Float]] = {
     if (sample.isEmpty) return Array(Array.fill(CellEmbedder.default.dim)(0.0f))
     val r = new java.util.Random(seed)
     val pivots = mutable.ArrayBuffer(sample(r.nextInt(sample.length)))
@@ -142,25 +144,18 @@ object Pexeso {
   }
 
   /** Build from a collected repository; embeds every cell into V. */
-  def build(cols: Seq[(Long, Seq[String])], nPivots: Int = 5,
-            embedder: CellEmbedder = CellEmbedder.default,
-            seed: Long = 0x9eL): Pexeso = {
+  def build(cols: Seq[(Long, Seq[String])]): Pexeso = {
     val colIds = cols.map(_._1).toArray
-    val cellVecs = cols.map { case (_, cells) => embedder.embedColumn(cells) }.toArray
+    val cellVecs = cols.map { case (_, cells) => CellEmbedder.default.embedColumn(cells) }.toArray
     val sample = {
       val all = mutable.ArrayBuffer.empty[Array[Float]]
       val r = new java.util.Random(seed)
       cellVecs.foreach { vs => if (vs.nonEmpty) all += vs(r.nextInt(vs.length)) }
       all.take(2000).toIndexedSeq
     }
-    val pivots = selectPivots(sample, nPivots, seed)
+    val pivots = selectPivots(sample)
     val pivotDists = cellVecs.map(_.map(v => pivots.map(p => VecOps.l2(v, p))))
-    new Pexeso(colIds, cellVecs, pivotDists, pivots, embedder)
-  }
-
-  def build(spark: SparkSession, repo: Dataset[LakeColumn]): Pexeso = {
-    import spark.implicits._
-    build(repo.map(c => (c.id, c.cells)).collect().toSeq)
+    new Pexeso(colIds, cellVecs, pivotDists, pivots)
   }
 
   /** Semantic self-join (training positives, Section 4.1): ordered pairs
@@ -168,10 +163,9 @@ object Pexeso {
     * Spark: each x-column scans a broadcast of all columns' cell vectors.
     */
   def semanticSelfJoin(spark: SparkSession, cols: Seq[LakeColumn], tau: Double,
-                       t: Double,
-                       embedder: CellEmbedder = CellEmbedder.default): Seq[(Long, Long, Double)] = {
+                       t: Double): Seq[(Long, Long, Double)] = {
     import spark.implicits._
-    val vecs = cols.map(c => (c.id, embedder.embedColumn(c.cells)))
+    val vecs = cols.map(c => (c.id, CellEmbedder.default.embedColumn(c.cells)))
     val bc = spark.sparkContext.broadcast(vecs)
     val tauD = tau
     val tD = t

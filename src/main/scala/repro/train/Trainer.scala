@@ -23,14 +23,17 @@ object Trainer {
       epochs: Int = 3,
       lr: Double = 1e-3,
       scale: Double = 20.0,
-      /** Fraction of epochs batched group-first (hard in-batch negatives);
-        * the remainder use global shuffling (easy negatives), so the model
-        * both separates domains and discriminates within them.
+      /** Number of final epochs batched group-first (hard in-batch
+        * negatives); the earlier ones use global shuffling (easy negatives),
+        * so the model both separates domains and discriminates within them.
         */
-      hardNegativeFrac: Double = 0.0,
+      hardEpochs: Int = 0,
       /** AdamW-style decoupled weight decay (the paper trains with 0.01). */
       weightDecay: Double = 0.01,
-      seed: Long = 0x7a11L)
+      seed: Long = 0x7a11L) {
+    /** Whether epoch `e` (0-based) is batched group-first. */
+    def grouped(e: Int): Boolean = e >= epochs - hardEpochs
+  }
 
   /** One training example: features of a positive pair plus the identities
     * needed for negative masking and hard-negative batching.
@@ -64,9 +67,8 @@ object Trainer {
     while (epoch < cfg.epochs) {
       // Alternate between global shuffling (easy cross-domain negatives)
       // and group-first ordering (hard same-domain negatives).
-      val useHard = epoch >= cfg.epochs - math.round(cfg.epochs * cfg.hardNegativeFrac)
       val order =
-        if (useHard)
+        if (cfg.grouped(epoch))
           rnd.shuffle(
             examples.indices.groupBy(i => examples(i).group).toVector.sortBy(_._1)
           ).flatMap { case (_, idxs) => rnd.shuffle(idxs.toVector) }

@@ -5,6 +5,7 @@ import repro.core.DeepJoin
 import repro.embed.{FastTextEmbedder, PlmConfig}
 import repro.lake.LakeConfig
 import repro.text.TextOption
+import scala.collection.mutable
 
 /** End-to-end pipeline integration at toy scale: corpus → labels → training
   * → index → retrieval → metrics. The bench suites run the full-scale
@@ -27,7 +28,7 @@ class WorldIntegrationSpec extends SparkSpec {
     assert(c.cellFrequency(v) == expected)
   }
   test("exact equi ground truth is populated and correctly ordered") {
-    val ex = World.exactEqui(spark, c, 10)
+    val ex = World.exact(spark, c, Equi, 10)
     assert(ex.nonEmpty)
     ex.values.foreach { ranked =>
       val jns = ranked.map(_._2)
@@ -35,7 +36,7 @@ class WorldIntegrationSpec extends SparkSpec {
     }
   }
   test("exact semantic ground truth is populated") {
-    val ex = World.exactSemantic(spark, c, 0.9, 10)
+    val ex = World.exact(spark, c, Semantic(0.9), 10)
     assert(ex.values.exists(_.nonEmpty))
   }
   test("equi positives exist at the paper's threshold") {
@@ -51,7 +52,7 @@ class WorldIntegrationSpec extends SparkSpec {
   test("retrieval + evaluation produces sane precision for fastText") {
     val idx = DeepJoin.buildIndex(spark, c.repoDs, new FastTextEmbedder())
     val res = World.retrieveAll(idx, c.queries, 10)
-    val ex = World.exactEqui(spark, c, 10)
+    val ex = World.exact(spark, c, Equi, 10)
     val m = World.evalRetrieval(c, res, ex, Seq(10), World.jnLookup(c, Equi))
     val (p, n) = m(10)
     assert(p >= 0.0 && p <= 1.0)
@@ -75,5 +76,25 @@ class WorldIntegrationSpec extends SparkSpec {
       val jn = StatsAndExpertBench.entityJn(q, x)
       assert(jn >= 0.0 && jn <= 1.0)
     }
+  }
+  test("World keeps one memo, and clearing it as djbench does retrains an equal model") {
+    // djbench's clearWorldCaches: every mutable.Map field declared on World.
+    def mapFields(o: AnyRef) = o.getClass.getDeclaredFields
+      .filter(f => classOf[mutable.Map[_, _]].isAssignableFrom(f.getType))
+    val fields = mapFields(World)
+    assert(fields.length == 1)
+    assert(mapFields(AccuracyBench).isEmpty && mapFields(TimingBench).isEmpty)
+    def train() = World.trainDeepJoin(spark, c, Equi, PlmConfig.distilbert,
+      TextOption.default, epochs = 1)
+    val first = train()
+    assert(train() eq first)
+    fields.foreach { f =>
+      f.setAccessible(true)
+      f.get(World).asInstanceOf[mutable.Map[_, _]].clear()
+    }
+    val second = train()
+    assert(second ne first)
+    val q = c.queries.head
+    assert(java.util.Arrays.equals(first.embed(q), second.embed(q)))
   }
 }

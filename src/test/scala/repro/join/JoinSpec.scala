@@ -178,6 +178,7 @@ class JosieSpec extends AnyFunSuite {
   }
   test("empty query yields no results") {
     assert(josie.topK(Seq.empty, 5).isEmpty)
+    assert(josie.topK(queries.head.cells, 0).isEmpty) // k = 0 asks for nothing
   }
   test("jn values are normalized by the distinct query size") {
     val q = Seq("a", "a") ++ repo.head.cells.take(3) // duplicate cell
@@ -293,6 +294,7 @@ class PexesoSpec extends AnyFunSuite {
   }
   test("empty query returns no results") {
     assert(px.topK(Seq.empty, 0.9, 5).isEmpty)
+    assert(px.topK(queries.head.cells, 0.9, 0).isEmpty) // k = 0 asks for nothing
   }
 }
 

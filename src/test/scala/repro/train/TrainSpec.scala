@@ -106,7 +106,7 @@ class TrainerSpec extends AnyFunSuite {
   }
   test("hard-negative batching runs (group-first epochs)") {
     val (_, losses) = Trainer.train(pairs, dim,
-      Trainer.Config(epochs = 2, hardNegativeFrac = 1.0, seed = 4L))
+      Trainer.Config(epochs = 2, hardEpochs = 2, seed = 4L))
     assert(losses.size == 2)
   }
   test("known positives are masked from the softmax (no crash, loss finite)") {
