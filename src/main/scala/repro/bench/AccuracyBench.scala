@@ -3,8 +3,8 @@ package repro.bench
 import org.apache.spark.sql.SparkSession
 import repro.core.DeepJoin
 import repro.embed._
-import repro.join.{Joinability, LshEnsemble}
-import repro.lake.{LakeColumn, LakeConfig, LakeGenerator}
+import repro.join.LshEnsemble
+import repro.lake.{LakeConfig, LakeGenerator}
 import repro.text.{Contextualizer, TextOption}
 
 /** Accuracy experiments: Tables 3–12 of the paper.
@@ -22,60 +22,71 @@ object AccuracyBench {
 
   // ------------------------------------------------------------- retrieval
 
-  /** Retrieve top-kMax ids per query with an embedder (memoized by name). */
+  /** Retrieve top-k ids per query with an embedder (memoized by corpus,
+    * name and k, so `name` must identify the embedder).
+    */
   def retrieve(spark: SparkSession, c: World.Corpus, name: String,
-               emb: ColumnEmbedder): Map[Long, Seq[Long]] =
-    World.memo(("retrieval", c.cfg.name, c.repo.size, name)) {
-      World.retrieveAll(DeepJoin.buildIndex(spark, c.repoDs, emb), c.queries, kMax)
+               emb: ColumnEmbedder, k: Int): Map[Long, Seq[Long]] =
+    World.memo(("retrieval", c, name, k)) {
+      World.retrieveAll(DeepJoin.buildIndex(spark, c.repoDs, emb), c.queries, k)
     }
 
   /** LSH Ensemble retrieval (memoized). */
-  def retrieveLsh(c: World.Corpus): Map[Long, Seq[Long]] =
-    World.memo(("retrieval", c.cfg.name, c.repo.size, "LSH Ensemble")) {
+  def retrieveLsh(c: World.Corpus, k: Int): Map[Long, Seq[Long]] =
+    World.memo(("retrieval", c, "LSH Ensemble", k)) {
       val lsh = LshEnsemble.build(c.repo.map(col => (col.id, col.cells)))
-      c.queries.map(q => q.id -> lsh.topK(q.cells, kMax).map(_._1)).toMap
+      c.queries.map(q => q.id -> lsh.topK(q.cells, k).map(_._1)).toMap
     }
 
   // --------------------------------------------------------- method suites
 
-  /** The methods of Table 3 (equi-joins): name -> retrieval map. */
-  def equiMethods(spark: SparkSession, c: World.Corpus): Seq[(String, Map[Long, Seq[Long]])] = {
+  /** The methods of Table 3 (equi-joins): name -> top-k retrieval over
+    * `c`'s repository; the trained methods learn on `train`.
+    */
+  def equiMethods(spark: SparkSession, c: World.Corpus, train: World.Corpus,
+                  k: Int): Seq[(String, Map[Long, Seq[Long]])] = {
     val ctxCol = new Contextualizer(TextOption.Col, frequency = c.cellFrequency)
     Seq(
-      "LSH Ensemble" -> retrieveLsh(c),
-      "fastText" -> retrieve(spark, c, "fastText", new FastTextEmbedder()),
-      "BERT" -> retrieve(spark, c, "BERT", new PlmEmbedder(PlmConfig.bert, ctxCol)),
-      "MPNet" -> retrieve(spark, c, "MPNet", new PlmEmbedder(PlmConfig.mpnet, ctxCol)),
-      "TaBERT" -> retrieve(spark, c, "TaBERT", new TabertEmbedder()),
-      "MLP" -> retrieve(spark, c, "MLP", World.trainMlp(spark, c)),
+      "LSH Ensemble" -> retrieveLsh(c, k),
+      "fastText" -> retrieve(spark, c, "fastText", new FastTextEmbedder(), k),
+      "BERT" -> retrieve(spark, c, "BERT", new PlmEmbedder(PlmConfig.bert, ctxCol), k),
+      "MPNet" -> retrieve(spark, c, "MPNet", new PlmEmbedder(PlmConfig.mpnet, ctxCol), k),
+      "TaBERT" -> retrieve(spark, c, "TaBERT", new TabertEmbedder(), k),
+      "MLP" -> retrieve(spark, c, "MLP", World.trainMlp(spark, train), k),
       "DeepJoin-DistilBERT" -> retrieve(spark, c, "DJ-DistilBERT-equi",
-        World.trainDeepJoin(spark, c, Equi, PlmConfig.distilbert)),
+        World.trainDeepJoin(spark, train, Equi, PlmConfig.distilbert), k),
       "DeepJoin-MPNet" -> retrieve(spark, c, "DJ-MPNet-equi",
-        World.trainDeepJoin(spark, c, Equi, PlmConfig.mpnet)),
+        World.trainDeepJoin(spark, train, Equi, PlmConfig.mpnet), k),
     )
   }
 
-  /** The methods of Tables 4–6 (semantic joins at threshold τ). */
-  def semanticMethods(spark: SparkSession, c: World.Corpus,
-                      tau: Double): Seq[(String, Map[Long, Seq[Long]])] =
+  /** The methods of Tables 4–6 (semantic joins at threshold τ), as
+    * [[equiMethods]].
+    */
+  def semanticMethods(spark: SparkSession, c: World.Corpus, train: World.Corpus,
+                      tau: Double, k: Int): Seq[(String, Map[Long, Seq[Long]])] =
     Seq(
-      "LSH Ensemble" -> retrieveLsh(c),
-      "fastText" -> retrieve(spark, c, "fastText", new FastTextEmbedder()),
+      "LSH Ensemble" -> retrieveLsh(c, k),
+      "fastText" -> retrieve(spark, c, "fastText", new FastTextEmbedder(), k),
       "DeepJoin-DistilBERT" -> retrieve(spark, c, s"DJ-DistilBERT-sem$tau",
-        World.trainDeepJoin(spark, c, Semantic(tau), PlmConfig.distilbert)),
+        World.trainDeepJoin(spark, train, Semantic(tau), PlmConfig.distilbert), k),
       "DeepJoin-MPNet" -> retrieve(spark, c, s"DJ-MPNet-sem$tau",
-        World.trainDeepJoin(spark, c, Semantic(tau), PlmConfig.mpnet)),
+        World.trainDeepJoin(spark, train, Semantic(tau), PlmConfig.mpnet), k),
     )
 
   // -------------------------------------------------------------- printing
 
-  /** precision@k for every k, then NDCG@k, of one retrieval against the
-    * corpus's exact top-kMax: "p@10 .. p@50 | ndcg@10 .. ndcg@50".
+  /** Mean precision@k and NDCG@k for every k in `ks`, of one retrieval
+    * against `c`'s exact top-`ks.max` under `jt`.
     */
+  private def evaluate(spark: SparkSession, c: World.Corpus, jt: JoinType,
+                       res: Map[Long, Seq[Long]], ks: Seq[Int]): Map[Int, (Double, Double)] =
+    World.evalRetrieval(c, res, World.exact(spark, c, jt, ks.max), ks, World.jnLookup(c, jt))
+
+  /** precision@k for every k, then NDCG@k: "p@10 .. p@50 | ndcg@10 .. ndcg@50". */
   private def scores(spark: SparkSession, c: World.Corpus, jt: JoinType,
                      res: Map[Long, Seq[Long]]): String = {
-    val m = World.evalRetrieval(c, res, World.exact(spark, c, jt, kMax), ks,
-      World.jnLookup(c, jt))
+    val m = evaluate(spark, c, jt, res, ks)
     ks.map(k => f"${m(k)._1}%.3f").mkString(" ") + " | " +
       ks.map(k => f"${m(k)._2}%.3f").mkString(" ")
   }
@@ -92,7 +103,8 @@ object AccuracyBench {
     println(s"== Table 3: accuracy of equi-joins (scale: repo=${World.repoN}, " +
       s"train=${World.trainN}, queries=${World.queryN}; paper: 1M/30K/50)")
     Seq(LakeConfig.webtable(), LakeConfig.wikitable()).foreach { cfg =>
-      printBlock(spark, World.corpus(spark, cfg), Equi, equiMethods(spark, World.corpus(spark, cfg)))
+      val c = World.corpus(spark, cfg)
+      printBlock(spark, c, Equi, equiMethods(spark, c, c, kMax))
     }
   }
 
@@ -103,7 +115,7 @@ object AccuracyBench {
         s"(scale: repo=${World.repoN}, train=${World.trainN}, queries=${World.queryN})")
       Seq(LakeConfig.webtable(), LakeConfig.wikitable()).foreach { cfg =>
         val c = World.corpus(spark, cfg)
-        printBlock(spark, c, Semantic(tau), semanticMethods(spark, c, tau))
+        printBlock(spark, c, Semantic(tau), semanticMethods(spark, c, c, tau, kMax))
       }
     }
 
@@ -112,67 +124,34 @@ object AccuracyBench {
   /** Size bands of Table 8 / Table 15. */
   val bands: Seq[(String, Int, Int)] = Seq(("5-10", 5, 10), ("11-50", 11, 50), (">50", 51, Int.MaxValue))
 
-  /** Table 8: accuracy at k=10 per column-size band (Webtable). */
+  /** Table 8: accuracy at k=10 per column-size band (Webtable), with the
+    * methods of Tables 3–6 trained on the full corpus and searching the
+    * band's repository.
+    */
   def table8(spark: SparkSession): Unit = {
     val cfg = LakeConfig.webtable()
     val k = 10
+    val tau = 0.9
     val nPerBand = math.max(600, World.repoN / 3)
     println(s"== Table 8: accuracy vs column size, webtable, k=$k " +
       s"(repo=$nPerBand per band; paper: grouped 1M)")
+    val full = World.corpus(spark, cfg)
     bands.zipWithIndex.foreach { case ((label, lo, hi), bi) =>
-      import spark.implicits._
       val hiCap = if (hi == Int.MaxValue) cfg.maxCells else hi
       val repoDs = LakeGenerator.columnsInSizeBand(spark, cfg, nPerBand, lo, hiCap,
         salt = 0x8a0L + bi).cache()
-      val repo = repoDs.collect().toSeq.sortBy(_.id)
       val queries = LakeGenerator.queriesInSizeBandLocal(cfg, World.queryN, lo, hiCap)
-      val full = World.corpus(spark, cfg)
-      val c = World.Corpus(cfg, repo, full.train, queries, repoDs, full.trainDs)
-      // Equi part.
-      val exEq = {
-        val qDs = spark.createDataset(queries)
-        Joinability.equiTopKMap(spark, qDs, repoDs, k)
+      val c = World.Corpus(cfg, repoDs.collect().toSeq.sortBy(_.id), full.train, queries,
+        repoDs, full.trainDs)
+      def block(title: String, jt: JoinType, methods: Seq[(String, Map[Long, Seq[Long]])]): Unit = {
+        println(s"-- $title, |X| = $label")
+        methods.foreach { case (name, res) =>
+          val (p, ndcg) = evaluate(spark, c, jt, res, Seq(k))(k)
+          println(f"$name%-22s P@$k=$p%.3f NDCG@$k=$ndcg%.3f")
+        }
       }
-      val ctxCol = new Contextualizer(TextOption.Col, frequency = c.cellFrequency)
-      def topK(emb: ColumnEmbedder): Map[Long, Seq[Long]] =
-        World.retrieveAll(DeepJoin.buildIndex(spark, repoDs, emb), queries, k)
-      val equiM = Seq(
-        "LSH Ensemble" -> {
-          val lsh = LshEnsemble.build(repo.map(col => (col.id, col.cells)))
-          queries.map(q => q.id -> lsh.topK(q.cells, k).map(_._1)).toMap
-        },
-        "fastText" -> topK(new FastTextEmbedder()),
-        "BERT" -> topK(new PlmEmbedder(PlmConfig.bert, ctxCol)),
-        "MPNet" -> topK(new PlmEmbedder(PlmConfig.mpnet, ctxCol)),
-        "TaBERT" -> topK(new TabertEmbedder()),
-        "MLP" -> topK(World.trainMlp(spark, full)),
-        "DeepJoin-DistilBERT" -> topK(World.trainDeepJoin(spark, full, Equi, PlmConfig.distilbert)),
-        "DeepJoin-MPNet" -> topK(World.trainDeepJoin(spark, full, Equi, PlmConfig.mpnet)),
-      )
-      println(s"-- equi, |X| = $label")
-      equiM.foreach { case (name, res) =>
-        val m = World.evalRetrieval(c, res, exEq, Seq(k), World.jnLookup(c, Equi))
-        println(f"$name%-22s P@$k=${m(k)._1}%.3f NDCG@$k=${m(k)._2}%.3f")
-      }
-      // Semantic part (tau = 0.9), methods of Table 8's lower block. Band
-      // repositories are not cached in World, so jn comes from this band's
-      // own PEXESO index.
-      val tau = 0.9
-      val px = repro.join.Pexeso.build(repo.map(col => (col.id, col.cells)))
-      val exSem = queries.map(q => q.id -> px.topK(q.cells, tau, k)).toMap
-      val semM = Seq(
-        "LSH Ensemble" -> equiM.head._2,
-        "fastText" -> equiM(1)._2,
-        "DeepJoin-DistilBERT" -> topK(
-          World.trainDeepJoin(spark, full, Semantic(tau), PlmConfig.distilbert)),
-        "DeepJoin-MPNet" -> topK(World.trainDeepJoin(spark, full, Semantic(tau), PlmConfig.mpnet)),
-      )
-      println(s"-- semantic (tau=$tau), |X| = $label")
-      semM.foreach { case (name, res) =>
-        val jnOf = (q: LakeColumn, id: Long) => px.jnOf(q.cells, tau, id)
-        val mtr = World.evalRetrieval(c, res, exSem, Seq(k), jnOf)
-        println(f"$name%-22s P@$k=${mtr(k)._1}%.3f NDCG@$k=${mtr(k)._2}%.3f")
-      }
+      block("equi", Equi, equiMethods(spark, c, full, k))
+      block(s"semantic (tau=$tau)", Semantic(tau), semanticMethods(spark, c, full, tau, k))
     }
   }
 
@@ -187,7 +166,7 @@ object AccuracyBench {
         println(s"-- ${cfg.name}: precision@k | ndcg@k, k=${ks.mkString(",")}")
         TextOption.all.foreach { opt =>
           val dj = World.trainDeepJoin(spark, c, jt, PlmConfig.mpnet, opt)
-          val res = retrieve(spark, c, s"DJ-MPNet-${jt.label}-${opt.name}", dj)
+          val res = retrieve(spark, c, s"DJ-MPNet-${jt.label}-${opt.name}", dj, kMax)
           println(f"${opt.name}%-26s ${scores(spark, c, jt, res)}")
         }
       }
@@ -207,7 +186,7 @@ object AccuracyBench {
         shuffleRates.foreach { rate =>
           val dj = World.trainDeepJoin(spark, c, jt, PlmConfig.mpnet,
             shuffleRate = Some(rate))
-          val res = retrieve(spark, c, s"DJ-MPNet-${jt.label}-r$rate", dj)
+          val res = retrieve(spark, c, s"DJ-MPNet-${jt.label}-r$rate", dj, kMax)
           println(f"rate=$rate%-21.1f ${scores(spark, c, jt, res)}")
         }
       }

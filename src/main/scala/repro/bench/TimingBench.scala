@@ -26,15 +26,16 @@ import repro.text.{Contextualizer, TextOption}
 object TimingBench {
 
   def repoFor(spark: SparkSession, cfg: LakeConfig, n: Int): Seq[LakeColumn] =
-    World.memo(("timingRepo", cfg.name, n)) {
+    World.memo(("timingRepo", cfg, n)) {
       LakeGenerator.columns(spark, cfg, n).collect().toSeq.sortBy(_.id)
     }
 
-  def embFor(spark: SparkSession, cfg: LakeConfig, repo: Seq[LakeColumn],
+  /** Embeddings of [[repoFor]]`(cfg, n)` by the named embedder. */
+  def embFor(spark: SparkSession, cfg: LakeConfig, n: Int,
              name: String, emb: ColumnEmbedder): Array[(Long, Array[Float])] =
-    World.memo(("embeddings", cfg.name, repo.size, name)) {
+    World.memo(("embeddings", cfg, n, name)) {
       import spark.implicits._
-      DeepJoin.encodeAll(spark, spark.createDataset(repo), emb)
+      DeepJoin.encodeAll(spark, spark.createDataset(repoFor(spark, cfg, n)), emb)
     }
 
   /** A per-query timed runner: returns (encodeMs, totalMs). */
@@ -65,10 +66,10 @@ object TimingBench {
     * (corpus, size, embedder); lighter construction parameters than the
     * accuracy benches — this table measures time, not recall).
     */
-  def indexFor(cfgName: String, embName: String, n: Int,
+  def indexFor(cfg: LakeConfig, embName: String, n: Int,
                embeddings: Array[(Long, Array[Float])],
                embedder: ColumnEmbedder): DeepJoinIndex =
-    World.memo(("timingIndex", cfgName, n, embName)) {
+    World.memo(("timingIndex", cfg, n, embName)) {
       DeepJoin.buildIndex(embeddings.take(n), embedder, m = 12, efConstruction = 64)
     }
 
@@ -127,8 +128,8 @@ object TimingBench {
 
       val (djCpu, djGpu) = deepJoinEmbedders(spark, cfg, Equi)
       val ft = new FastTextEmbedder()
-      val ftEmbAll = embFor(spark, cfg, repoAll, "fastText", ft)
-      val djEmbAll = embFor(spark, cfg, repoAll, "dj-equi", djCpu)
+      val ftEmbAll = embFor(spark, cfg, sizes.max, "fastText", ft)
+      val djEmbAll = embFor(spark, cfg, sizes.max, "dj-equi", djCpu)
 
       def row(name: String, mk: Seq[LakeColumn] => Runner,
               slice: Int => Seq[LakeColumn] = n => repoAll.take(n)): Unit = {
@@ -145,15 +146,15 @@ object TimingBench {
       row("LSH Ensemble", repo => new LshRunner(repo))
       row("JOSIE", repo => new JosieRunner(repo))
       row("fastText", repo =>
-        new SearchRunner(indexFor(cfg.name, "fastText", repo.size, ftEmbAll, ft), ft))
+        new SearchRunner(indexFor(cfg, "fastText", repo.size, ftEmbAll, ft), ft))
       row("DeepJoin (CPU)", repo =>
-        new SearchRunner(indexFor(cfg.name, "dj-equi", repo.size, djEmbAll, djCpu), djCpu))
+        new SearchRunner(indexFor(cfg, "dj-equi", repo.size, djEmbAll, djCpu), djCpu))
       row("DeepJoin (GPU)", repo =>
-        new SearchRunner(indexFor(cfg.name, "dj-equi", repo.size, djEmbAll, djCpu), djGpu))
+        new SearchRunner(indexFor(cfg, "dj-equi", repo.size, djEmbAll, djCpu), djGpu))
 
       println(s"-- semantic joins (tau=0.9)")
       val (djCpuS, djGpuS) = deepJoinEmbedders(spark, cfg, Semantic(0.9))
-      val djEmbAllS = embFor(spark, cfg, repoAll, "dj-sem", djCpuS)
+      val djEmbAllS = embFor(spark, cfg, sizes.max, "dj-sem", djCpuS)
       // PEXESO over the full sweep is the slowest method; cap its sizes at
       // the first three to keep the bench under control and note the cap.
       val pexesoSizes = sizes.take(3)
@@ -163,9 +164,9 @@ object TimingBench {
       }
       println(f"${"PEXESO"}%-18s enc=${0.0}%8.2f  total=${pexTimes.map(t => f"$t%8.2f").mkString(" ")}  (first ${pexesoSizes.size} sizes)")
       row("DeepJoin (CPU)", repo =>
-        new SearchRunner(indexFor(cfg.name, "dj-sem", repo.size, djEmbAllS, djCpuS), djCpuS))
+        new SearchRunner(indexFor(cfg, "dj-sem", repo.size, djEmbAllS, djCpuS), djCpuS))
       row("DeepJoin (GPU)", repo =>
-        new SearchRunner(indexFor(cfg.name, "dj-sem", repo.size, djEmbAllS, djCpuS), djGpuS))
+        new SearchRunner(indexFor(cfg, "dj-sem", repo.size, djEmbAllS, djCpuS), djGpuS))
     }
   }
 
@@ -179,8 +180,8 @@ object TimingBench {
       val repo = repoFor(spark, cfg, n)
       val (djCpu, djGpu) = deepJoinEmbedders(spark, cfg, Equi)
       val ft = new FastTextEmbedder()
-      val ftEmb = embFor(spark, cfg, repo, "fastText", ft)
-      val djEmb = embFor(spark, cfg, repo, "dj-equi", djCpu)
+      val ftEmb = embFor(spark, cfg, n, "fastText", ft)
+      val djEmb = embFor(spark, cfg, n, "dj-equi", djCpu)
 
       def row(name: String, runner: Runner): Unit = {
         val t = ksSweep.map(k => measure(runner, queries, k)._2)
@@ -189,17 +190,17 @@ object TimingBench {
       println(s"-- equi-joins")
       row("LSH Ensemble", new LshRunner(repo))
       row("JOSIE", new JosieRunner(repo))
-      row("fastText", new SearchRunner(indexFor(cfg.name, "fastText", n, ftEmb, ft), ft))
-      val djIdx = indexFor(cfg.name, "dj-equi", n, djEmb, djCpu)
+      row("fastText", new SearchRunner(indexFor(cfg, "fastText", n, ftEmb, ft), ft))
+      val djIdx = indexFor(cfg, "dj-equi", n, djEmb, djCpu)
       row("DeepJoin (CPU)", new SearchRunner(djIdx, djCpu))
       row("DeepJoin (GPU)", new SearchRunner(djIdx, djGpu))
 
       println(s"-- semantic joins (tau=0.9)")
       val (djCpuS, djGpuS) = deepJoinEmbedders(spark, cfg, Semantic(0.9))
-      val djEmbS = embFor(spark, cfg, repo, "dj-sem", djCpuS)
+      val djEmbS = embFor(spark, cfg, n, "dj-sem", djCpuS)
       val nPex = math.min(n, sizesFor(cfg.name).head)
       row(s"PEXESO (|X|=$nPex)", new PexesoRunner(repo.take(nPex), 0.9))
-      val djIdxS = indexFor(cfg.name, "dj-sem", n, djEmbS, djCpuS)
+      val djIdxS = indexFor(cfg, "dj-sem", n, djEmbS, djCpuS)
       row("DeepJoin (CPU)", new SearchRunner(djIdxS, djCpuS))
       row("DeepJoin (GPU)", new SearchRunner(djIdxS, djGpuS))
     }
@@ -217,11 +218,10 @@ object TimingBench {
     val ft = new FastTextEmbedder()
     AccuracyBench.bands.zipWithIndex.foreach { case ((label, lo, hi), bi) =>
       val hiCap = if (hi == Int.MaxValue) cfg.maxCells else hi
-      val repo = LakeGenerator.columnsInSizeBand(spark, cfg, nPerBand, lo, hiCap,
-        salt = 0xf15L + bi).collect().toSeq.sortBy(_.id)
+      val repoDs = LakeGenerator.columnsInSizeBand(spark, cfg, nPerBand, lo, hiCap,
+        salt = 0xf15L + bi).cache()
+      val repo = repoDs.collect().toSeq.sortBy(_.id)
       val queries = LakeGenerator.queriesInSizeBandLocal(cfg, 10, lo, hiCap)
-      import spark.implicits._
-      val repoDs = spark.createDataset(repo)
       val ftEmb = DeepJoin.encodeAll(spark, repoDs, ft)
       val djEmb = DeepJoin.encodeAll(spark, repoDs, djCpu)
       val djEmbS = DeepJoin.encodeAll(spark, repoDs, djCpuS)
@@ -234,12 +234,12 @@ object TimingBench {
       row("LSH Ensemble", new LshRunner(repo))
       row("JOSIE", new JosieRunner(repo))
       row("fastText", new SearchRunner(
-        indexFor(cfg.name, s"b$bi-fastText", repo.size, ftEmb, ft), ft))
-      val djIdx = indexFor(cfg.name, s"b$bi-dj-equi", repo.size, djEmb, djCpu)
+        indexFor(cfg, s"b$bi-fastText", repo.size, ftEmb, ft), ft))
+      val djIdx = indexFor(cfg, s"b$bi-dj-equi", repo.size, djEmb, djCpu)
       row("DeepJoin (CPU)", new SearchRunner(djIdx, djCpu))
       row("DeepJoin (GPU)", new SearchRunner(djIdx, djGpu))
       row("PEXESO", new PexesoRunner(repo, 0.9))
-      val djIdxS = indexFor(cfg.name, s"b$bi-dj-sem", repo.size, djEmbS, djCpuS)
+      val djIdxS = indexFor(cfg, s"b$bi-dj-sem", repo.size, djEmbS, djCpuS)
       row("DeepJoin-sem (CPU)", new SearchRunner(djIdxS, djCpuS))
       row("DeepJoin-sem (GPU)", new SearchRunner(djIdxS, djGpuS))
     }

@@ -57,7 +57,10 @@ object World {
   }
 
   /** The one memo of every bench result; each key is a tuple that starts
-    * with its kind. Memoized computations nest (`exact` calls `pexeso`,
+    * with its kind and names its corpus by value: the whole [[LakeConfig]]
+    * (seed included) or the [[Corpus]] itself, whose `Dataset` fields compare
+    * by reference, so corpora that share a name and sizes never share an
+    * entry. Memoized computations nest (`exact` calls `pexeso`,
     * `trainDeepJoin` calls `positives`), which `TrieMap` allows: its
     * `getOrElseUpdate` runs `f` outside the map. djbench clears World by
     * reflecting over its `mutable.Map` fields, so the memo must stay one.
@@ -70,7 +73,7 @@ object World {
   def corpus(spark: SparkSession, cfg: LakeConfig,
              nRepo: Int = repoN, nTrain: Int = trainN,
              nQuery: Int = queryN): Corpus =
-    memo(("corpus", cfg.name, nRepo, nTrain, nQuery)) {
+    memo(("corpus", cfg, nRepo, nTrain, nQuery)) {
       val repoDs = LakeGenerator.columns(spark, cfg, nRepo).cache()
       val trainDs = LakeGenerator.columns(spark, cfg, nTrain, idOffset = 500000000L).cache()
       val repo = repoDs.collect().toSeq.sortBy(_.id)
@@ -87,7 +90,7 @@ object World {
     */
   def exact(spark: SparkSession, c: Corpus, jt: JoinType,
             k: Int): Map[Long, Seq[(Long, Double)]] =
-    memo(("exact", c.cfg.name, c.repo.size, jt, k)) {
+    memo(("exact", c, jt, k)) {
       jt match {
         case Equi =>
           import spark.implicits._
@@ -100,7 +103,7 @@ object World {
 
   /** The PEXESO index over the corpus repository (shared across τ). */
   def pexeso(c: Corpus): Pexeso =
-    memo(("pexeso", c.cfg.name, c.repo.size)) {
+    memo(("pexeso", c)) {
       Pexeso.build(c.repo.map(col => (col.id, col.cells)))
     }
 
@@ -118,7 +121,7 @@ object World {
 
   /** Positive pairs for the corpus under the join type (memoized). */
   def positives(spark: SparkSession, c: Corpus, jt: JoinType): Seq[TrainingData.Pair] =
-    memo(("positives", c.cfg.name, jt.label, c.train.size)) {
+    memo(("positives", c, jt)) {
       jt match {
         case Equi => TrainingData.equiPositives(spark, c.trainDs, posThreshold)
         case Semantic(tau) =>
@@ -152,7 +155,7 @@ object World {
                     shuffleRate: Option[Double] = None,
                     epochs: Int = 2): PlmEmbedder = {
     val rate = shuffleRate.getOrElse(defaultShuffleRate(c.cfg.name, jt))
-    memo(("model", c.cfg.name, c.train.size, jt.label, plm.name, option.name, rate, epochs)) {
+    memo(("model", c, jt, plm, option, rate, epochs)) {
       // DeepJoin's fine-tuned encoder pools cells idf-weighted (the paper's
       // "attention focuses on the cells more probable to match"); raw PLM
       // baselines do not (their pre-training never saw the repository).
@@ -168,19 +171,14 @@ object World {
         }
       val augmented = TrainingData.augment(pos, rate, seed = 0x5fffL)
 
-      // Featurize every distinct column (including shuffled copies) on Spark.
+      // Featurize every training column and every shuffled copy on Spark.
+      // `base` has no head, so `embed` gives the pooled base features; the
+      // encoder never reads `id`, so each copy carries its key -(i + 1).
       import spark.implicits._
-      val originals = c.train
-      val shuffledXs = augmented.drop(pos.size).map(_.x)
-      val toEncode: Seq[(Long, LakeColumn)] =
-        originals.map(col => (col.id, col)) ++
-          shuffledXs.zipWithIndex.map { case (col, i) => (-(i + 1L), col) }
+      val shuffledXs = augmented.drop(pos.size).zipWithIndex
+        .map { case (p, i) => p.x.copy(id = -(i + 1L)) }
       val feats: Map[Long, Array[Float]] =
-        spark.createDataset(toEncode)
-          .repartition(spark.sparkContext.defaultParallelism * 2)
-          .mapPartitions(_.map { case (key, col) => (key, base.baseFeatures(col)) })
-          .collect()
-          .toMap
+        DeepJoin.encodeAll(spark, spark.createDataset(c.train ++ shuffledXs), base).toMap
 
       val trainSeed = Words.mixSeed(c.cfg.name, jt.label, option.name, rate)
       val trainCfg = Trainer.Config(epochs = epochs, lr = learningRate,
@@ -211,14 +209,14 @@ object World {
   }
 
   /** The MLP baseline trained for the corpus (equi tables only). */
-  def trainMlp(spark: SparkSession, c: Corpus): MlpBaseline = {
-    val base = new FastTextEmbedder()
-    val pos0 = positives(spark, c, Equi)
-    val pos = if (pos0.size <= maxTrainPairs) pos0
-              else new scala.util.Random(0x3bL).shuffle(pos0.toVector).take(maxTrainPairs)
-    MlpBaseline.trainFromPairs(base, pos, c.train,
-      (a, b) => Joinability.equiJn(a.cells, b.cells))
-  }
+  def trainMlp(spark: SparkSession, c: Corpus): MlpBaseline =
+    memo(("mlp", c)) {
+      val pos0 = positives(spark, c, Equi)
+      val pos = if (pos0.size <= maxTrainPairs) pos0
+                else new scala.util.Random(0x3bL).shuffle(pos0.toVector).take(maxTrainPairs)
+      MlpBaseline.trainFromPairs(new FastTextEmbedder(), pos, c.train,
+        (a, b) => Joinability.equiJn(a.cells, b.cells))
+    }
 
   // ------------------------------------------------------------ retrieval
 

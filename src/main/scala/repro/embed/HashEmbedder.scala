@@ -104,13 +104,6 @@ object VecOps {
     math.sqrt(s).toFloat
   }
 
-  def l2Sq(a: Array[Float], b: Array[Float]): Float = {
-    var s = 0.0f
-    var i = 0
-    while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
-    s
-  }
-
   def cosine(a: Array[Float], b: Array[Float]): Float = {
     val na = norm(a); val nb = norm(b)
     if (na < 1e-12f || nb < 1e-12f) 0.0f else dot(a, b) / (na * nb)

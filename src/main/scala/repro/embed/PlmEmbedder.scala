@@ -127,10 +127,10 @@ final class PlmEmbedder(
     }
   }
 
-  /** Pooled PLM features before any fine-tuned head (unit norm).
-    * This is what the trainer caches per column.
+  /** Pooled PLM features before any fine-tuned head (unit norm): what
+    * `embed` returns without a head, and so what the trainer featurizes.
     */
-  def baseFeatures(col: LakeColumn): Array[Float] = {
+  private def baseFeatures(col: LakeColumn): Array[Float] = {
     val r = ctx.render(col)
     val out = new Array[Float](cfg.dim)
     val cellVec = encodeCells(r.cells)

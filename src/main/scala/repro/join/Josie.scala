@@ -17,7 +17,6 @@ import scala.collection.mutable
   */
 final class Josie private (
     val colIds: Array[Long],
-    colSizes: Array[Int],
     tokenOf: java.util.HashMap[String, Integer],
     postings: Array[Array[Int]],
     dfOf: Array[Int]) extends Serializable {
@@ -99,16 +98,13 @@ object Josie {
   def build(cols: Seq[(Long, Seq[String])]): Josie = {
     val n = cols.size
     val colIds = new Array[Long](n)
-    val colSizes = new Array[Int](n)
     val tokenOf = new java.util.HashMap[String, Integer]()
     val postingsBuf = mutable.ArrayBuffer.empty[mutable.ArrayBuffer[Int]]
 
     var c = 0
     cols.foreach { case (id, cells) =>
       colIds(c) = id
-      val distinct = cells.distinct
-      colSizes(c) = distinct.size
-      distinct.foreach { cell =>
+      cells.distinct.foreach { cell =>
         var t: Integer = tokenOf.get(cell)
         if (t == null) {
           t = Integer.valueOf(postingsBuf.length)
@@ -121,6 +117,6 @@ object Josie {
     }
     val postings = postingsBuf.map(_.toArray).toArray
     val dfOf = postings.map(_.length)
-    new Josie(colIds, colSizes, tokenOf, postings, dfOf)
+    new Josie(colIds, tokenOf, postings, dfOf)
   }
 }

@@ -127,13 +127,9 @@ object LakeGenerator {
     spark.range(n).map(i => genColumn(cfg, i + idOffset, salt))
   }
 
-  /** Query workload: ids disjoint from any repository (different salt). */
-  def queries(spark: SparkSession, cfg: LakeConfig, n: Int): Dataset[LakeColumn] = {
-    import spark.implicits._
-    spark.range(n).map(i => genColumn(cfg, i + 1000000000L, QuerySalt))
-  }
-
-  /** Driver-side query workload (small, no Spark round-trip needed). */
+  /** Query workload: ids disjoint from any repository (different salt),
+    * generated on the driver (small, no Spark round-trip needed).
+    */
   def queriesLocal(cfg: LakeConfig, n: Int): Seq[LakeColumn] =
     (0 until n).map(i => genColumn(cfg, i + 1000000000L, QuerySalt))
 

@@ -41,7 +41,4 @@ object TextOption {
 
   /** The paper's best option (used as DeepJoin's default). */
   val default: TextOption = TitleColnameStatCol
-
-  def byName(n: String): TextOption =
-    all.find(_.name == n).getOrElse(throw new IllegalArgumentException(s"unknown option: $n"))
 }

@@ -3,7 +3,7 @@ package repro.bench
 import repro.SparkSpec
 import repro.core.DeepJoin
 import repro.embed.{FastTextEmbedder, PlmConfig}
-import repro.lake.LakeConfig
+import repro.lake.{LakeConfig, LakeGenerator}
 import repro.text.TextOption
 import scala.collection.mutable
 
@@ -76,6 +76,20 @@ class WorldIntegrationSpec extends SparkSpec {
       val jn = StatsAndExpertBench.entityJn(q, x)
       assert(jn >= 0.0 && jn <= 1.0)
     }
+  }
+  test("corpora that differ only in the LakeConfig seed are memoized apart") {
+    val other = World.corpus(spark, cfg.copy(seed = 98L), nRepo = 400, nTrain = 200, nQuery = 5)
+    assert(other.repo != c.repo)
+    assert(other.cfg.seed == 98L)
+  }
+  test("a corpus that shares the training set gets exact top-k from its own repository") {
+    World.exact(spark, c, Equi, 10)
+    val repoDs = LakeGenerator.columns(spark, cfg, 400, idOffset = 1000000L).cache()
+    val repo = repoDs.collect().toSeq.sortBy(_.id)
+    val own = World.Corpus(cfg, repo, c.train, c.queries, repoDs, c.trainDs)
+    val ids = World.exact(spark, own, Equi, 10).values.flatten.map(_._1).toSet
+    assert(ids.nonEmpty)
+    assert(ids.subsetOf(repo.map(_.id).toSet))
   }
   test("World keeps one memo, and clearing it as djbench does retrains an equal model") {
     // djbench's clearWorldCaches: every mutable.Map field declared on World.

@@ -24,10 +24,6 @@ class VecOpsSpec extends AnyFunSuite {
   test("l2 distance") {
     assert(math.abs(VecOps.l2(Array(0f, 0f), Array(3f, 4f)) - 5f) < 1e-6)
   }
-  test("l2Sq is the squared l2") {
-    val a = Array(1f, 2f); val b = Array(3f, 5f)
-    assert(math.abs(VecOps.l2Sq(a, b) - 13f) < 1e-5)
-  }
   test("cosine of identical unit vectors is 1") {
     val v = Array(0.6f, 0.8f)
     assert(math.abs(VecOps.cosine(v, v) - 1f) < 1e-6)

@@ -42,12 +42,6 @@ class TextOptionSpec extends AnyFunSuite {
   test("default is the paper's best option") {
     assert(TextOption.default == TextOption.TitleColnameStatCol)
   }
-  test("byName round-trips") {
-    TextOption.all.foreach(o => assert(TextOption.byName(o.name) == o))
-  }
-  test("byName rejects unknown names") {
-    assertThrows[IllegalArgumentException](TextOption.byName("nope"))
-  }
   test("field flags are consistent with names") {
     assert(!TextOption.Col.useTitle && !TextOption.Col.useColName)
     assert(TextOption.ColnameCol.useColName && !TextOption.ColnameCol.useTitle)
