@@ -113,10 +113,19 @@ final class PlmEmbedder(
 
   // Fixed seeded feed-forward weights over the cell segment: a smooth
   // deterministic mixing map standing in for frozen pre-trained FFN blocks.
-  @transient private lazy val ffnW: Array[Float] = {
+  // Stored transposed, one row per input coordinate: ffnWt(c)(r) = W(r, c),
+  // drawn in W's row-major order (see DESIGN.md, "Encoder kernels").
+  @transient private lazy val ffnWt: Array[Array[Float]] = {
     val r = new scala.util.Random(cfg.seed ^ 0xffeL)
     val scale = (1.0 / math.sqrt(dCell)).toFloat
-    Array.fill(dCell * dCell)((r.nextGaussian() * scale).toFloat)
+    val wt = Array.ofDim[Float](dCell, dCell)
+    var row = 0
+    while (row < dCell) {
+      var c = 0
+      while (c < dCell) { wt(c)(row) = (r.nextGaussian() * scale).toFloat; c += 1 }
+      row += 1
+    }
+    wt
   }
 
   override def embed(col: LakeColumn): Array[Float] = {
@@ -226,25 +235,50 @@ final class PlmEmbedder(
     val phase = (v(0) * 37.0 + v(d / 2) * 17.0) * 10.0
     val amp = (1.0 + cfg.posSensitivity * 0.25 *
       math.sin(2.0 * math.Pi * pos / 7.0 + phase)).toFloat
-    val shifted = new Array[Float](d)
+    // In place: each v(i) reads v(i + 1) before it is overwritten, and the
+    // wrap-around term reads the saved v(0).
+    val v0 = v(0)
     var i = 0
-    while (i < d) { shifted(i) = v((i + 1) % d); i += 1 }
-    i = 0
-    while (i < d) { v(i) = amp * (c * v(i) + s * shifted(i)); i += 1 }
+    while (i < d - 1) { v(i) = amp * (c * v(i) + s * v(i + 1)); i += 1 }
+    v(d - 1) = amp * (c * v(d - 1) + s * v0)
   }
 
-  /** One softmax self-attention mixing layer with a residual. O(L²·d). */
+  /** One softmax self-attention mixing layer with a residual. O(L²·d).
+    *
+    * Scores for query row i are built lane-wise: with kt(c)(j) = vecs(j)(c),
+    * every score has its own accumulator, still summed over c in order, so
+    * the inner loop over j is vectorizable and the result is bit-identical
+    * to a per-pair dot product.
+    */
   private def attentionLayer(vecs: Array[Array[Float]]): Array[Array[Float]] = {
     val L = vecs.length
     val d = dCell
     val invSqrtD = (2.0 / math.sqrt(d)).toFloat // sharpened scores
+    val kt = Array.ofDim[Float](d, L)
+    var j = 0
+    while (j < L) {
+      val v = vecs(j)
+      var c = 0
+      while (c < d) { kt(c)(j) = v(c); c += 1 }
+      j += 1
+    }
     val out = new Array[Array[Float]](L)
-    val row = (i: Int) => {
-      val scores = new Array[Float](L)
-      var mx = Float.NegativeInfinity
+    def row(i: Int, scores: Array[Float]): Unit = {
+      val q = vecs(i)
+      java.util.Arrays.fill(scores, 0.0f)
       var j = 0
+      var c = 0
+      while (c < d) {
+        val qc = q(c)
+        val k = kt(c)
+        j = 0
+        while (j < L) { scores(j) += qc * k(j); j += 1 }
+        c += 1
+      }
+      var mx = Float.NegativeInfinity
+      j = 0
       while (j < L) {
-        scores(j) = VecOps.dot(vecs(i), vecs(j)) * invSqrtD
+        scores(j) *= invSqrtD
         if (scores(j) > mx) mx = scores(j)
         j += 1
       }
@@ -259,38 +293,45 @@ final class PlmEmbedder(
       out(i) = o
     }
     if (parallel && L >= 16)
-      java.util.stream.IntStream.range(0, L).parallel().forEach(i => row(i))
+      java.util.stream.IntStream.range(0, L).parallel().forEach(i => row(i, new Array[Float](L)))
     else {
+      val scores = new Array[Float](L)
       var i = 0
-      while (i < L) { row(i); i += 1 }
+      while (i < L) { row(i, scores); i += 1 }
     }
     out
   }
 
-  /** One fixed-weight feed-forward layer with tanh and residual. O(L·d²). */
+  /** One fixed-weight feed-forward layer with tanh and residual, in place.
+    * O(L·d²). Each output coordinate r has its own accumulator s(r), summed
+    * over c in order from the transposed weight rows, so the inner loop over
+    * r is vectorizable and the result is bit-identical to a row-by-row
+    * mat-vec.
+    */
   private def ffnLayer(vecs: Array[Array[Float]]): Unit = {
     val d = dCell
-    val w = ffnW
-    val tok = (i: Int) => {
+    val wt = ffnWt
+    def tok(i: Int, s: Array[Float]): Unit = {
       val v = vecs(i)
-      val o = new Array[Float](d)
-      var r = 0
-      while (r < d) {
-        var s = 0.0f
-        val off = r * d
-        var c = 0
-        while (c < d) { s += w(off + c) * v(c); c += 1 }
-        o(r) = v(r) + 0.15f * math.tanh(s.toDouble).toFloat
-        r += 1
+      java.util.Arrays.fill(s, 0.0f)
+      var c = 0
+      while (c < d) {
+        val vc = v(c)
+        val w = wt(c)
+        var r = 0
+        while (r < d) { s(r) += w(r) * vc; r += 1 }
+        c += 1
       }
-      VecOps.normalizeInPlace(o)
-      vecs(i) = o
+      var r = 0
+      while (r < d) { v(r) = v(r) + 0.15f * math.tanh(s(r).toDouble).toFloat; r += 1 }
+      VecOps.normalizeInPlace(v)
     }
     if (parallel && vecs.length >= 8)
-      java.util.stream.IntStream.range(0, vecs.length).parallel().forEach(i => tok(i))
+      java.util.stream.IntStream.range(0, vecs.length).parallel().forEach(i => tok(i, new Array[Float](d)))
     else {
+      val s = new Array[Float](d)
       var i = 0
-      while (i < vecs.length) { tok(i); i += 1 }
+      while (i < vecs.length) { tok(i, s); i += 1 }
     }
   }
 }

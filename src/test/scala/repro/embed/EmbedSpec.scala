@@ -154,10 +154,10 @@ class ColumnEmbedderSpec extends AnyFunSuite {
     val cos = VecOps.cosine(e.embed(col), e.embed(shuffled))
     assert(cos < 0.9999f && cos > 0.8f, s"expected mild order sensitivity, cos=$cos")
   }
-  test("parallel (GPU-sim) encoding equals sequential encoding approximately") {
+  test("parallel (GPU-sim) encoding equals sequential encoding") {
     val cpu = new PlmEmbedder(PlmConfig.mpnet, ctx, parallel = false)
     val gpu = new PlmEmbedder(PlmConfig.mpnet, ctx, parallel = true)
-    assert(VecOps.cosine(cpu.embed(col), gpu.embed(col)) > 0.9999f)
+    assert(java.util.Arrays.equals(cpu.embed(col), gpu.embed(col)))
   }
   test("same-anchor columns embed closer than cross-domain columns") {
     val cols = (0 until 800).map(i => LakeGenerator.genColumn(cfg, i))
