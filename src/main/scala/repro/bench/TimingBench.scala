@@ -131,13 +131,8 @@ object TimingBench {
       val ftEmbAll = embFor(spark, cfg, sizes.max, "fastText", ft)
       val djEmbAll = embFor(spark, cfg, sizes.max, "dj-equi", djCpu)
 
-      def row(name: String, mk: Seq[LakeColumn] => Runner,
-              slice: Int => Seq[LakeColumn] = n => repoAll.take(n)): Unit = {
-        val cells = sizes.map { n =>
-          val r = mk(slice(n))
-          val (enc, tot) = measure(r, queries, k)
-          (enc, tot)
-        }
+      def row(name: String, mk: Seq[LakeColumn] => Runner): Unit = {
+        val cells = sizes.map(n => measure(mk(repoAll.take(n)), queries, k))
         val encStr = f"${cells.head._1}%8.2f"
         println(f"$name%-18s enc=$encStr  total=${cells.map(c => f"${c._2}%8.2f").mkString(" ")}")
       }
@@ -155,14 +150,7 @@ object TimingBench {
       println(s"-- semantic joins (tau=0.9)")
       val (djCpuS, djGpuS) = deepJoinEmbedders(spark, cfg, Semantic(0.9))
       val djEmbAllS = embFor(spark, cfg, sizes.max, "dj-sem", djCpuS)
-      // PEXESO over the full sweep is the slowest method; cap its sizes at
-      // the first three to keep the bench under control and note the cap.
-      val pexesoSizes = sizes.take(3)
-      val pexTimes = pexesoSizes.map { n =>
-        val r = new PexesoRunner(repoAll.take(n), 0.9)
-        measure(r, queries, k)._2
-      }
-      println(f"${"PEXESO"}%-18s enc=${0.0}%8.2f  total=${pexTimes.map(t => f"$t%8.2f").mkString(" ")}  (first ${pexesoSizes.size} sizes)")
+      row("PEXESO", repo => new PexesoRunner(repo, 0.9))
       row("DeepJoin (CPU)", repo =>
         new SearchRunner(indexFor(cfg, "dj-sem", repo.size, djEmbAllS, djCpuS), djCpuS))
       row("DeepJoin (GPU)", repo =>

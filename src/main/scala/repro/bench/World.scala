@@ -125,7 +125,7 @@ object World {
       jt match {
         case Equi => TrainingData.equiPositives(spark, c.trainDs, posThreshold)
         case Semantic(tau) =>
-          TrainingData.semanticPositives(spark, c.train, tau, posThreshold)
+          TrainingData.semanticPositives(c.train, tau, posThreshold)
       }
     }
 

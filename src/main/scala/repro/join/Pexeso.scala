@@ -1,101 +1,104 @@
 package repro.join
 
-import org.apache.spark.sql.SparkSession
 import repro.embed.{CellEmbedder, VecOps}
 import repro.lake.LakeColumn
 import scala.collection.mutable
+import scala.collection.parallel.CollectionConverters._
 
 /** PEXESO (Dong et al., ICDE 2021): exact semantic-joinable table discovery
-  * with pivot-based filtering — the paper's exact semantic baseline and the
-  * producer of its semantic training labels.
+  * — the paper's exact semantic baseline and the producer of its semantic
+  * training labels.
   *
   * Every cell is embedded into the metric space V ([[CellEmbedder]]); a cell
-  * pair matches iff their Euclidean distance is ≤ τ (Definition 2.2). A set
-  * of mutually far pivots is selected and distances from every repository
-  * cell vector to every pivot are precomputed; by the triangle inequality a
-  * pair whose pivot distances differ by more than τ on any pivot cannot
-  * match, which skips the full d-dimensional distance for the vast majority
-  * of cross-domain pairs. As the paper notes (Section 2.2), for top-k
-  * queries the grid's count-threshold pruning has no power at the start of a
-  * scan, so the search degrades to a (pivot-accelerated) linear scan — which
+  * pair matches iff their Euclidean distance is ≤ τ (Definition 2.2). The
+  * index stores each distinct cell value once (row-major, plus a dim-major
+  * copy `vt(c)(v)`), a value → column posting list and each column's value
+  * ids. A query cell is compared against every value at once with a
+  * lane-wise float sum of squared differences, which C2 vectorizes; a value
+  * whose sum exceeds [[Pexeso.filterBound]] cannot match, and the few that
+  * survive take the exact `VecOps.l2` test, so every match decision is that
+  * test's (DESIGN.md §7). Pivot filtering, as in the PEXESO paper, prunes
+  * almost nothing in this 32-dimensional space, where distances concentrate.
+  * As the paper notes (Section 2.2), a top-k query has no count threshold to
+  * prune with at the start of a scan, so the search is a linear scan — which
   * is exactly what the efficiency tables measure.
   */
 final class Pexeso private (
     val colIds: Array[Long],
-    cellVecs: Array[Array[Array[Float]]],
-    pivotDists: Array[Array[Array[Float]]], // [col][cell][pivot]
-    pivots: Array[Array[Float]]) extends Serializable {
+    vals: Array[Array[Float]],   // distinct cell values' vectors
+    vt: Array[Array[Float]],     // dim-major copy: vt(c)(v) = vals(v)(c)
+    postStart: Array[Int],       // columns of value v: postCols(postStart(v) until postStart(v + 1))
+    postCols: Array[Int],
+    colVals: Array[Array[Int]])  // distinct value ids of each column
+  extends Serializable {
 
   def numColumns: Int = colIds.length
-  private def nPivots: Int = pivots.length
 
-  /** Pivot distances for a query column's cell vectors. */
-  private def queryPivotDists(q: Array[Array[Float]]): Array[Array[Float]] =
-    q.map(v => pivots.map(p => VecOps.l2(v, p)))
-
-  /** Exact count of query cells with ≥1 match in column `c` under τ,
-    * stopping early once the count can no longer reach `needed`.
+  /** Per column, the number of query cells with ≥1 match under `tf`
+    * (a match is `VecOps.l2(q, x) <= tf`). Scratch is per call, so calls
+    * may run concurrently.
     */
-  private def matchCount(q: Array[Array[Float]], qPiv: Array[Array[Float]],
-                         c: Int, tau: Float, needed: Int): Int = {
-    val xs = cellVecs(c)
-    val xPiv = pivotDists(c)
-    var matched = 0
+  private def counts(q: Array[Array[Float]], tf: Float): Array[Int] = {
+    val n = vals.length
+    val bound = Pexeso.filterBound(tf)
+    val s = new Array[Float](n)
+    val matched = Array.fill(q.length)(new mutable.ArrayBuilder.ofInt)
+    // Tiles over values: one tile of `vt` serves every query cell.
+    var b0 = 0
+    while (b0 < n) {
+      val b1 = math.min(n, b0 + Pexeso.Tile)
+      var i = 0
+      while (i < q.length) {
+        val qv = q(i)
+        java.util.Arrays.fill(s, b0, b1, 0.0f)
+        var c = 0
+        while (c < qv.length) {
+          val qc = qv(c)
+          val row = vt(c)
+          var v = b0
+          while (v < b1) { val d = qc - row(v); s(v) += d * d; v += 1 }
+          c += 1
+        }
+        var v = b0
+        while (v < b1) {
+          if (s(v) <= bound && VecOps.l2(qv, vals(v)) <= tf) matched(i) += v
+          v += 1
+        }
+        i += 1
+      }
+      b0 = b1
+    }
+    val cnt = new Array[Int](numColumns)
+    val lastCell = Array.fill(numColumns)(-1) // query cell that last counted the column
     var i = 0
     while (i < q.length) {
-      // Even if every remaining query cell matched, can we still reach `needed`?
-      if (matched + (q.length - i) < needed) return matched
-      val qp = qPiv(i)
-      var found = false
+      val vs = matched(i).result()
       var j = 0
-      while (!found && j < xs.length) {
-        // Pivot filter: |d(q,p) - d(x,p)| > τ for any pivot ⇒ no match.
-        var pruned = false
-        var p = 0
-        while (!pruned && p < nPivots) {
-          val diff = qp(p) - xPiv(j)(p)
-          if (diff > tau || diff < -tau) pruned = true
+      while (j < vs.length) {
+        var p = postStart(vs(j))
+        while (p < postStart(vs(j) + 1)) {
+          val col = postCols(p)
+          if (lastCell(col) != i) { lastCell(col) = i; cnt(col) += 1 }
           p += 1
         }
-        if (!pruned && VecOps.l2(q(i), xs(j)) <= tau) found = true
         j += 1
       }
-      if (found) matched += 1
       i += 1
     }
-    matched
+    cnt
   }
 
-  /** Exact top-k columns by semantic joinability (Definition 2.3). */
+  /** Exact top-k columns by semantic joinability (Definition 2.3), ranked
+    * by jn desc, then id asc.
+    */
   def topK(queryCells: Seq[String], tau: Double, k: Int): Seq[(Long, Double)] = {
     val q = CellEmbedder.default.embedColumn(queryCells)
     if (k <= 0 || q.isEmpty || numColumns == 0) return Seq.empty
-    val qPiv = queryPivotDists(q)
-    val tF = tau.toFloat
-    // Max-heap on (-count, id) so the worst kept result is on top.
-    val worstFirst: Ordering[(Int, Long)] =
-      Ordering.by((e: (Int, Long)) => (-e._1, e._2))
-    val heap = mutable.PriorityQueue.empty[(Int, Long)](worstFirst)
-    var kthCount = 0
-    var c = 0
-    while (c < numColumns) {
-      val needed = if (heap.size < k) 1 else kthCount // count needed to matter
-      val cnt = matchCount(q, qPiv, c, tF, math.max(1, needed))
-      if (cnt > 0) {
-        if (heap.size < k) heap.enqueue((cnt, colIds(c)))
-        else {
-          val (wCnt, wId) = heap.head
-          if (cnt > wCnt || (cnt == wCnt && colIds(c) < wId)) {
-            heap.dequeue(); heap.enqueue((cnt, colIds(c)))
-          }
-        }
-        if (heap.size == k) kthCount = heap.head._1
-      }
-      c += 1
-    }
-    heap.toSeq
-      .map { case (cnt, id) => (id, cnt.toDouble / q.length) }
-      .sortBy { case (id, jn) => (-jn, id) }
+    val cnt = counts(q, tau.toFloat)
+    (0 until numColumns).filter(cnt(_) > 0)
+      .sortBy(c => (-cnt(c), colIds(c)))
+      .take(k)
+      .map(c => (colIds(c), cnt(c).toDouble / q.length))
   }
 
   /** Exact semantic jn(Q, X) for one repository column id. */
@@ -105,88 +108,94 @@ final class Pexeso private (
   @transient private lazy val indexOfId: Map[Long, Int] =
     colIds.zipWithIndex.map { case (id, i) => id -> i }.toMap
 
-  /** Exact semantic jn(Q, ·) for a set of column ids (query embedded once). */
+  /** Exact semantic jn(Q, ·) for a set of column ids (query embedded once;
+    * only the asked columns' values are tested).
+    */
   def jnMap(queryCells: Seq[String], tau: Double,
             ids: Seq[Long]): Map[Long, Double] = {
     val q = CellEmbedder.default.embedColumn(queryCells)
-    if (q.isEmpty) return ids.map(_ -> 0.0).toMap
-    val qPiv = queryPivotDists(q)
+    val tf = tau.toFloat
     ids.map { id =>
-      indexOfId.get(id) match {
-        case Some(c) => id -> matchCount(q, qPiv, c, tau.toFloat, 1).toDouble / q.length
-        case None => id -> 0.0
+      val jn = indexOfId.get(id) match {
+        case Some(c) if q.nonEmpty =>
+          val xs = colVals(c)
+          q.count(qv => xs.exists(v => VecOps.l2(qv, vals(v)) <= tf)).toDouble / q.length
+        case _ => 0.0
       }
+      id -> jn
     }.toMap
   }
 }
 
 object Pexeso {
 
-  /** Number of pivots, and the seed of the pivot sample. */
-  private val nPivots = 5
-  private val seed = 0x9eL
+  /** Values per tile of the filter: 32 dims × 1024 values × 4 B = 128 KiB. */
+  private val Tile = 1024
 
-  /** Greedy max-min pivot selection over a sample of cell vectors. */
-  private def selectPivots(sample: IndexedSeq[Array[Float]]): Array[Array[Float]] = {
-    if (sample.isEmpty) return Array(Array.fill(CellEmbedder.default.dim)(0.0f))
-    val r = new java.util.Random(seed)
-    val pivots = mutable.ArrayBuffer(sample(r.nextInt(sample.length)))
-    while (pivots.length < nPivots) {
-      var best: Array[Float] = null
-      var bestD = -1.0f
-      sample.foreach { v =>
-        val d = pivots.iterator.map(p => VecOps.l2(v, p)).min
-        if (d > bestD) { bestD = d; best = v }
-      }
-      pivots += best
-    }
-    pivots.toArray
+  /** Smallest float ≥ nextUp(tf)² · (1 + 1e-4). A pair with
+    * `VecOps.l2(q, x) <= tf` has √S < nextUp(tf), where S is l2's double sum
+    * of the float squares; the same squares summed in float differ from S
+    * by at most (d − 1)·2⁻²⁴ relative (31·2⁻²⁴ ≈ 2e-6 for d = 32), far
+    * inside the 1e-4 margin, so no matching pair has a float sum above this
+    * bound.
+    */
+  private def filterBound(tf: Float): Float = {
+    val up = Math.nextUp(tf).toDouble
+    val b = up * up * (1 + 1e-4)
+    val f = b.toFloat
+    if (f < b) Math.nextUp(f) else f
   }
 
-  /** Build from a collected repository; embeds every cell into V. */
+  /** Largest float ≤ τ: `l2 <= floatAtMost(τ)` decides exactly as the
+    * float-to-double comparison `l2 <= τ` of [[Joinability.semanticJn]].
+    */
+  private def floatAtMost(tau: Double): Float = {
+    val f = tau.toFloat
+    if (f > tau) Math.nextDown(f) else f
+  }
+
+  /** Build from a collected repository; embeds each distinct cell once. */
   def build(cols: Seq[(Long, Seq[String])]): Pexeso = {
     val colIds = cols.map(_._1).toArray
-    val cellVecs = cols.map { case (_, cells) => CellEmbedder.default.embedColumn(cells) }.toArray
-    val sample = {
-      val all = mutable.ArrayBuffer.empty[Array[Float]]
-      val r = new java.util.Random(seed)
-      cellVecs.foreach { vs => if (vs.nonEmpty) all += vs(r.nextInt(vs.length)) }
-      all.take(2000).toIndexedSeq
+    val idOf = mutable.HashMap.empty[String, Int]
+    val cells = mutable.ArrayBuffer.empty[String]
+    val colVals = cols.map { case (_, cs) =>
+      cs.iterator.map(cell => idOf.getOrElseUpdate(cell, { cells += cell; cells.length - 1 }))
+        .toArray.distinct
+    }.toArray
+    val vals = cells.map(CellEmbedder.default.embed).toArray
+    val vt = Array.tabulate(CellEmbedder.default.dim)(c => vals.map(_(c)))
+    val postStart = new Array[Int](vals.length + 1)
+    colVals.foreach(_.foreach(v => postStart(v + 1) += 1))
+    for (v <- 0 until vals.length) postStart(v + 1) += postStart(v)
+    val fill = postStart.clone()
+    val postCols = new Array[Int](postStart(vals.length))
+    colVals.indices.foreach { col =>
+      colVals(col).foreach { v => postCols(fill(v)) = col; fill(v) += 1 }
     }
-    val pivots = selectPivots(sample)
-    val pivotDists = cellVecs.map(_.map(v => pivots.map(p => VecOps.l2(v, p))))
-    new Pexeso(colIds, cellVecs, pivotDists, pivots)
+    new Pexeso(colIds, vals, vt, postStart, postCols, colVals)
   }
 
   /** Semantic self-join (training positives, Section 4.1): ordered pairs
-    * (x, y), x ≠ y, with semantic jn(x, y) ≥ t. Runs data-parallel on
-    * Spark: each x-column scans a broadcast of all columns' cell vectors.
+    * (x, y), x ≠ y, with semantic jn(x, y) ≥ t, each jn decided exactly as
+    * [[Joinability.semanticJn]] decides it. One index over `cols` answers
+    * every x, data-parallel over x.
     */
-  def semanticSelfJoin(spark: SparkSession, cols: Seq[LakeColumn], tau: Double,
+  def semanticSelfJoin(cols: Seq[LakeColumn], tau: Double,
                        t: Double): Seq[(Long, Long, Double)] = {
-    import spark.implicits._
-    val vecs = cols.map(c => (c.id, CellEmbedder.default.embedColumn(c.cells)))
-    val bc = spark.sparkContext.broadcast(vecs)
-    val tauD = tau
-    val tD = t
-    val out = spark.createDataset(vecs.map(_._1))
-      .repartition(spark.sparkContext.defaultParallelism * 2)
-      .mapPartitions { it =>
-        val all = bc.value
-        val byId = all.toMap
-        it.flatMap { xid =>
-          val x = byId(xid)
-          if (x.isEmpty) Iterator.empty
-          else all.iterator
-            .filter(_._1 != xid)
-            .map { case (yid, y) =>
-              (xid, yid, Joinability.semanticJn(x, y, tauD))
-            }
-            .filter(_._3 >= tD)
-        }
+    val px = build(cols.map(c => (c.id, c.cells)))
+    val tf = floatAtMost(tau)
+    cols.par.flatMap { x =>
+      val q = CellEmbedder.default.embedColumn(x.cells)
+      if (q.isEmpty) Nil
+      else {
+        val cnt = px.counts(q, tf)
+        px.colIds.indices.iterator
+          .filter(c => px.colIds(c) != x.id)
+          .map(c => (x.id, px.colIds(c), cnt(c).toDouble / q.length))
+          .filter(_._3 >= t)
+          .toSeq
       }
-      .collect()
-    bc.destroy()
-    out.toSeq
+    }.seq
   }
 }

@@ -33,10 +33,9 @@ object TrainingData {
   }
 
   /** Semantic positives: ordered pairs with semantic jn ≥ t under τ. */
-  def semanticPositives(spark: SparkSession, train: Seq[LakeColumn],
-                        tau: Double, t: Double): Seq[Pair] = {
+  def semanticPositives(train: Seq[LakeColumn], tau: Double, t: Double): Seq[Pair] = {
     val byId = train.map(c => c.id -> c).toMap
-    Pexeso.semanticSelfJoin(spark, train, tau, t)
+    Pexeso.semanticSelfJoin(train, tau, t)
       .sortBy(p => (p._1, p._2))
       .map { case (x, y, jn) => Pair(byId(x), byId(y), jn) }
   }

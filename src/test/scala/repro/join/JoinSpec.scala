@@ -255,7 +255,7 @@ class PexesoSpec extends AnyFunSuite {
   import JoinFixtures._
   private lazy val px = Pexeso.build(repo.map(c => (c.id, c.cells)))
 
-  test("topK equals brute force at tau=0.9 (pivot filter is safe)") {
+  test("topK equals brute force at tau=0.9 (bounded distance filter is safe)") {
     queries.take(5).foreach { q =>
       val got = px.topK(q.cells, 0.9, 10)
       val exp = bruteSemTopK(q.cells, 0.9, 10)
@@ -296,14 +296,77 @@ class PexesoSpec extends AnyFunSuite {
     assert(px.topK(Seq.empty, 0.9, 5).isEmpty)
     assert(px.topK(queries.head.cells, 0.9, 0).isEmpty) // k = 0 asks for nothing
   }
+  test("a pair matches at tau = its distance and not one float below (filter margin)") {
+    val ce = CellEmbedder.default
+    val cells = repo.take(60).flatMap(_.cells).distinct.toIndexedSeq
+    val r = new scala.util.Random(0xb0dL)
+    // Random pairs sit near the typical distance; a one-letter edit is close.
+    val pairs = Seq.fill(300)((cells(r.nextInt(cells.size)), cells(r.nextInt(cells.size)))) ++
+      cells.take(150).map(c => (c, c + "x"))
+    pairs.foreach { case (a, b) =>
+      val d = repro.embed.VecOps.l2(ce.embed(a), ce.embed(b))
+      val one = Pexeso.build(Seq(7L -> Seq(b)))
+      assert(one.topK(Seq(a), d.toDouble, 1) == Seq((7L, 1.0)), s"($a, $b) at $d")
+      assert(one.topK(Seq(a), Math.nextDown(d).toDouble, 1).isEmpty, s"($a, $b) below $d")
+      val pair = Seq(col(1L, Seq(a)), col(2L, Seq(b)))
+      assert(Pexeso.semanticSelfJoin(pair, d.toDouble, 1.0).contains((1L, 2L, 1.0)))
+      // semanticJn compares in double, so the double just below d must miss.
+      assert(!Pexeso.semanticSelfJoin(pair, Math.nextDown(d.toDouble), 1.0).contains((1L, 2L, 1.0)))
+    }
+  }
+  test("topK, jnMap and semanticSelfJoin agree with brute-force semanticJn on adversarial columns (property)") {
+    import org.scalacheck.{Gen, Prop, Test => SCTest}
+    val ce = CellEmbedder.default
+    // Empty strings, unicode, case and one-letter variants, repeats.
+    val pool = Seq("", " ", "alpha", "Alpha", "alpah", "alpha.", "beta", "betaa",
+      "gamma", "a", "ab", "naive", "naïve", "ünïcödé", "日本語", "東京", "東京都")
+    val column = Gen.choose(0, 8).flatMap(n => Gen.listOfN(n, Gen.oneOf(pool)))
+    val input = for {
+      nCols <- Gen.choose(0, 7)
+      cols <- Gen.listOfN(nCols, column)
+      q <- Gen.choose(1, 6).flatMap(n => Gen.listOfN(n, Gen.oneOf(pool)))
+      tau <- Gen.oneOf(0.7, 0.9, 1.3)
+      kSel <- Gen.choose(0, 3)
+    } yield (cols :+ Nil, q, tau, kSel) // always one column with no cells
+    val prop = Prop.forAll(input) { case (cells, q, tau, kSel) =>
+      val cols = cells.zipWithIndex.map { case (cs, i) => col(10L + i, cs) }
+      val n = cols.size
+      val k = Seq(0, 1, n, n + 5)(kSel)
+      val idx = Pexeso.build(cols.map(c => (c.id, c.cells)))
+      val qv = ce.embedColumn(q)
+      val jn = cols.map(c => c.id -> Joinability.semanticJn(qv, ce.embedColumn(c.cells), tau)).toMap
+      val brute = jn.toSeq.filter(_._2 > 0).sortBy { case (id, j) => (-j, id) }.take(k)
+      val selfBrute = (for {
+        a <- cols if a.cells.nonEmpty; b <- cols if a.id != b.id
+        j = Joinability.semanticJn(ce.embedColumn(a.cells), ce.embedColumn(b.cells), tau) if j >= 0.5
+      } yield (a.id, b.id, j)).toSet
+      idx.topK(q, tau, k) == brute &&
+        idx.jnMap(q, tau, cols.map(_.id)) == jn &&
+        Pexeso.semanticSelfJoin(cols, tau, 0.5).toSet == selfBrute
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res.status.toString)
+  }
+  test("topK called from 4 threads equals the serial result") {
+    import scala.concurrent.{Await, Future}
+    import scala.concurrent.ExecutionContext.Implicits.global
+    import scala.concurrent.duration._
+    def all() = for (q <- queries; tau <- Seq(0.7, 0.9)) yield px.topK(q.cells, tau, 10)
+    val serial = all()
+    val parallel = Await.result(Future.sequence(Seq.fill(4)(Future(all()))), 5.minutes)
+    parallel.foreach(p => assert(p == serial))
+  }
+
+  private def col(id: Long, cells: Seq[String]): LakeColumn =
+    LakeColumn(id, "", "", "", 0, -1, 0, cells, cells.map(_ => 0L))
 }
 
-class PexesoSelfJoinSpec extends SparkSpec {
+class PexesoSelfJoinSpec extends AnyFunSuite {
   import JoinFixtures._
 
   test("semanticSelfJoin matches pairwise computation") {
     val cols = repo.take(60)
-    val got = Pexeso.semanticSelfJoin(spark, cols, tau = 0.9, t = 0.6)
+    val got = Pexeso.semanticSelfJoin(cols, tau = 0.9, t = 0.6)
       .map(p => (p._1, p._2)).toSet
     val ce = CellEmbedder.default
     val vecs = cols.map(c => c.id -> ce.embedColumn(c.cells)).toMap
@@ -315,7 +378,7 @@ class PexesoSelfJoinSpec extends SparkSpec {
   }
   test("semanticSelfJoin returns jn values above the threshold") {
     val cols = repo.take(40)
-    Pexeso.semanticSelfJoin(spark, cols, 0.9, 0.5).foreach { case (_, _, jn) =>
+    Pexeso.semanticSelfJoin(cols, 0.9, 0.5).foreach { case (_, _, jn) =>
       assert(jn >= 0.5 && jn <= 1.0)
     }
   }

@@ -202,7 +202,7 @@ class TrainingDataSparkSpec extends repro.SparkSpec {
   }
   test("semanticPositives returns pairs above the threshold") {
     val cols = (0 until 80).map(i => LakeGenerator.genColumn(cfg, i))
-    val pos = TrainingData.semanticPositives(spark, cols, tau = 0.9, t = 0.6)
+    val pos = TrainingData.semanticPositives(cols, tau = 0.9, t = 0.6)
     pos.foreach(p => assert(p.jn >= 0.6))
   }
 }
