@@ -186,8 +186,7 @@ object TimingBench {
       println(s"-- semantic joins (tau=0.9)")
       val (djCpuS, djGpuS) = deepJoinEmbedders(spark, cfg, Semantic(0.9))
       val djEmbS = embFor(spark, cfg, n, "dj-sem", djCpuS)
-      val nPex = math.min(n, sizesFor(cfg.name).head)
-      row(s"PEXESO (|X|=$nPex)", new PexesoRunner(repo.take(nPex), 0.9))
+      row("PEXESO", new PexesoRunner(repo, 0.9))
       val djIdxS = indexFor(cfg, "dj-sem", n, djEmbS, djCpuS)
       row("DeepJoin (CPU)", new SearchRunner(djIdxS, djCpuS))
       row("DeepJoin (GPU)", new SearchRunner(djIdxS, djGpuS))

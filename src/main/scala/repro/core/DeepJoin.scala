@@ -51,13 +51,15 @@ object DeepJoin {
                      embedder: ColumnEmbedder): Array[(Long, Array[Float])] =
     cols.map(c => (c.id, embedder.embed(c))).sortBy(_._1).toArray
 
-  /** Build the HNSW index over pre-computed embeddings. */
+  /** Build the HNSW index over pre-computed embeddings, with
+    * [[Hnsw.addAll]]'s batch-parallel insertion.
+    */
   def buildIndex(embeddings: Array[(Long, Array[Float])],
                  embedder: ColumnEmbedder,
                  m: Int = 16, efConstruction: Int = 200): DeepJoinIndex = {
     require(embeddings.nonEmpty, "empty repository")
     val hnsw = new Hnsw(embeddings.head._2.length, m, efConstruction)
-    embeddings.foreach { case (_, v) => hnsw.add(v) }
+    hnsw.addAll(embeddings.map(_._2))
     new DeepJoinIndex(hnsw, embeddings.map(_._1), embedder)
   }
 

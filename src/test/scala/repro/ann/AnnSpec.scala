@@ -1,5 +1,6 @@
 package repro.ann
 
+import java.util.concurrent.{Callable, ForkJoinPool}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -118,5 +119,85 @@ class HnswSpec extends AnyFunSuite {
     val h = new Hnsw(dim)
     data.take(7).foreach(h.add)
     assert(h.search(data(0), 20, 64).length == 7)
+  }
+
+  /** `addAll` of the fixture inside a pool of `threads` workers. */
+  private def buildAll(threads: Int, seed: Long = 5L): Hnsw = {
+    val pool = new ForkJoinPool(threads)
+    try pool.submit(new Callable[Hnsw] {
+      def call(): Hnsw = {
+        val h = new Hnsw(dim, m = 12, efConstruction = 100, seed = seed)
+        h.addAll(data)
+        h
+      }
+    }).get()
+    finally pool.shutdown()
+  }
+
+  test("addAll builds the same graph on 1 and 4 threads") {
+    val (h1, h4) = (buildAll(1), buildAll(4))
+    assert(h1.size == data.size && h4.size == data.size)
+    for (i <- 0 until data.size; l <- 0 until 32)
+      assert(h1.neighbors(i, l).toSeq == h4.neighbors(i, l).toSeq, s"node $i level $l")
+    data.take(50).foreach(q => assert(h1.search(q, 10, 64).toSeq == h4.search(q, 10, 64).toSeq))
+  }
+
+  test("addAll recall@10 is within 0.005 of the serial build's at ef 16 and 96") {
+    val r = new Random(19)
+    // Half the queries sit inside the clusters, half anywhere. A query far
+    // from every cluster can land in the wrong one and miss all 10, which
+    // alone moves one build's recall by 0.005; hence the mean over 4 seeds.
+    val qs = IndexedSeq.tabulate(100)(i => data(i * 15).map(_ + 0.1f * r.nextGaussian().toFloat)) ++
+      IndexedSeq.fill(100)(Array.fill(dim)(r.nextGaussian().toFloat))
+    val exact = qs.map(BruteForce.search(data, _, 10))
+    val seeds = 1L to 4L
+    val serial = seeds.map { seed =>
+      val h = new Hnsw(dim, m = 12, efConstruction = 100, seed = seed)
+      data.foreach(h.add)
+      h
+    }
+    val batched = seeds.map(buildAll(4, _))
+    def recall(hs: Seq[Hnsw], ef: Int) = hs.map { h =>
+      qs.indices.map(i => AnnFixtures.recallAtK(h.search(qs(i), 10, ef), exact(i))).sum / qs.size
+    }.sum / hs.size
+    Seq(16, 96).foreach { ef =>
+      val (rs, rb) = (recall(serial, ef), recall(batched, ef))
+      info(f"ef=$ef: recall@10 serial $rs%.4f, addAll $rb%.4f")
+      assert(rb >= rs - 0.005, s"ef=$ef: addAll $rb vs serial $rs")
+    }
+  }
+
+  test("health: every node reachable on layer 0 and every degree within its cap") {
+    Seq(build(), buildAll(4)).foreach { h =>
+      val health = h.health
+      assert(health.unreachable == 0)
+      assert(health.levels.sum == h.size)
+      assert(health.levels.head > 0 && health.levels.size >= 2)
+      health.degrees.zipWithIndex.foreach { case (d, l) =>
+        assert(d.min <= d.mean && d.mean <= d.max, s"level $l: $d")
+        // A level shared by two or more nodes leaves none of them unlinked.
+        if (health.levels.drop(l).sum > 1) assert(d.min >= 1, s"level $l: $d")
+        assert(d.max <= (if (l == 0) 2 * h.m else h.m), s"level $l: $d")
+      }
+    }
+  }
+
+  test("search counters repeat exactly and stay below n distances at ef 64") {
+    val h = build()
+    val r = new Random(23)
+    val qs = IndexedSeq.fill(20)(Array.fill(dim)(r.nextGaussian().toFloat))
+    def counts(q: Array[Float]) = {
+      val st = new Hnsw.SearchStats
+      h.search(q, 10, 64, st)
+      (st.distances, st.visited)
+    }
+    qs.foreach { q =>
+      val c = counts(q)
+      assert(c == counts(q))
+      assert(c._1 > 0 && c._1 < data.size && c._2 > 0, s"counts $c")
+    }
+    val total = new Hnsw.SearchStats
+    qs.foreach(h.search(_, 10, 64, total))
+    assert(total.distances == qs.map(counts(_)._1).sum)
   }
 }
