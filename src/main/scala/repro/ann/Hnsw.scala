@@ -2,6 +2,8 @@ package repro.ann
 
 import java.util.Arrays
 
+import repro.embed.VecOps
+
 /** Hierarchical Navigable Small World graphs (Malkov & Yashunin, 2020) —
   * the paper's ANN index (Section 3.3), implemented from scratch.
   *
@@ -64,7 +66,7 @@ final class Hnsw(
 
   /** Insert a vector; its id is the insertion index. Returns the id. */
   def add(v: Array[Float]): Int = {
-    insert(IndexedSeq(v), exact = false, stats = null)
+    insert(IndexedSeq(v), exact = false)
     n - 1
   }
 
@@ -74,11 +76,9 @@ final class Hnsw(
     * and neighbour selection run in parallel against the graph as it stood
     * when the batch started; links, re-pruning and entry-point updates then
     * apply serially in id order. The graph does not depend on the thread
-    * count; a batch of one is [[add]]. `stats`, if given, accumulates the
-    * insertion searches' counters.
+    * count; a batch of one is [[add]].
     */
-  def addAll(vs: IndexedSeq[Array[Float]], stats: SearchStats = null): Unit =
-    insert(vs, exact = true, stats)
+  def addAll(vs: IndexedSeq[Array[Float]]): Unit = insert(vs, exact = true)
 
   /** kNN by Euclidean distance; `ef >= k` controls recall. `stats`, if
     * given, accumulates this search's counters.
@@ -110,7 +110,7 @@ final class Hnsw(
 
   // ------------------------------------------------------------ insertion
 
-  private def insert(vs: IndexedSeq[Array[Float]], exact: Boolean, stats: SearchStats): Unit = {
+  private def insert(vs: IndexedSeq[Array[Float]], exact: Boolean): Unit = {
     vs.foreach(v => require(v.length == dim, s"dim mismatch: ${v.length} != $dim"))
     val start = n
     val total = n + vs.length
@@ -132,14 +132,8 @@ final class Hnsw(
       val b = math.min(math.min(first, MaxBatch), total - first)
       val (ep, top) = (entry, topLevel)
       val selected = new Array[Array[Array[Int]]](b)
-      val distances = new Array[Long](b)
-      val visited = new Array[Long](b)
-      def find(j: Int): Unit = {
-        val s = scratch.get()
-        s.distances = 0L; s.visited = 0L
-        selected(j) = findNeighbors(vs(first - start + j), first + j, ep, top, 0, s)
-        distances(j) = s.distances; visited(j) = s.visited
-      }
+      def find(j: Int): Unit =
+        selected(j) = findNeighbors(vs(first - start + j), first + j, ep, top, 0, scratch.get())
       if (b == 1) find(0)
       else java.util.stream.IntStream.range(0, b).parallel().forEach(j => find(j))
       val s = scratch.get()
@@ -147,7 +141,6 @@ final class Hnsw(
       while (j < b) {
         val id = first + j
         var sel = selected(j)
-        s.distances = distances(j); s.visited = visited(j)
         if (levels(id) > top && topLevel > top) {
           // An earlier node of this batch opened layers above `top`; search
           // them now, in id order, so this node is linked there too.
@@ -156,7 +149,6 @@ final class Hnsw(
           sel = above
         }
         link(id, sel, s)
-        if (stats ne null) { stats.distances += s.distances; stats.visited += s.visited }
         j += 1
       }
       next += b
@@ -357,24 +349,9 @@ final class Hnsw(
   private def linkBase(node: Int, level: Int): Int =
     if (level == 0) node * stride0 else (level - 1) * strideUp
 
-  /** [[repro.embed.VecOps.l2]] of `q` and a stored vector, same arithmetic. */
-  private def dist(q: Array[Float], node: Int): Float = {
-    val off = node * dim
-    var s = 0.0
-    var i = 0
-    while (i < dim) { val d = q(i) - vecs(off + i); s += d * d; i += 1 }
-    math.sqrt(s).toFloat
-  }
+  private def dist(q: Array[Float], node: Int): Float = VecOps.l2(q, 0, vecs, node * dim, dim)
 
-  /** [[repro.embed.VecOps.l2]] of two stored vectors, same arithmetic. */
-  private def dist(x: Int, y: Int): Float = {
-    val ox = x * dim
-    val oy = y * dim
-    var s = 0.0
-    var i = 0
-    while (i < dim) { val d = vecs(ox + i) - vecs(oy + i); s += d * d; i += 1 }
-    math.sqrt(s).toFloat
-  }
+  private def dist(x: Int, y: Int): Float = VecOps.l2(vecs, x * dim, vecs, y * dim, dim)
 
   private def checkNode(i: Int): Unit =
     if (i < 0 || i >= n) throw new IndexOutOfBoundsException(s"node $i of $n")

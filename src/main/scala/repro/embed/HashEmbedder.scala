@@ -97,10 +97,16 @@ object VecOps {
     a
   }
 
-  def l2(a: Array[Float], b: Array[Float]): Float = {
+  def l2(a: Array[Float], b: Array[Float]): Float = l2(a, 0, b, 0, a.length)
+
+  /** Euclidean distance of `a(aOff until aOff + len)` and
+    * `b(bOff until bOff + len)`: float differences, squares summed in a
+    * double in index order, then `sqrt` rounded to float.
+    */
+  def l2(a: Array[Float], aOff: Int, b: Array[Float], bOff: Int, len: Int): Float = {
     var s = 0.0
     var i = 0
-    while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
+    while (i < len) { val d = a(aOff + i) - b(bOff + i); s += d * d; i += 1 }
     math.sqrt(s).toFloat
   }
 
