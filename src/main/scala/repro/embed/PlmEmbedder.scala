@@ -245,10 +245,12 @@ final class PlmEmbedder(
 
   /** One softmax self-attention mixing layer with a residual. O(L²·d).
     *
-    * Scores for query row i are built lane-wise: with kt(c)(j) = vecs(j)(c),
-    * every score has its own accumulator, still summed over c in order, so
-    * the inner loop over j is vectorizable and the result is bit-identical
-    * to a per-pair dot product.
+    * Scores are built lane-wise: with kt(c)(j) = vecs(j)(c), every score has
+    * its own accumulator, still summed over c in order, so the inner loop
+    * over j is vectorizable and the result is bit-identical to a per-pair
+    * dot product. Query rows go in blocks of 4, so each `kt(c)` pass feeds
+    * four score rows and each `vecs(j)` pass four outputs; lanes past the
+    * last row repeat it and their results are dropped.
     */
   private def attentionLayer(vecs: Array[Array[Float]]): Array[Array[Float]] = {
     val L = vecs.length
@@ -263,41 +265,74 @@ final class PlmEmbedder(
       j += 1
     }
     val out = new Array[Array[Float]](L)
-    def row(i: Int, scores: Array[Float]): Unit = {
-      val q = vecs(i)
-      java.util.Arrays.fill(scores, 0.0f)
-      var j = 0
-      var c = 0
-      while (c < d) {
-        val qc = q(c)
-        val k = kt(c)
-        j = 0
-        while (j < L) { scores(j) += qc * k(j); j += 1 }
-        c += 1
-      }
+    // Turns raw scores into the value-mix weights softmax(s · invSqrtD) / 2.
+    def mixWeights(s: Array[Float]): Unit = {
       var mx = Float.NegativeInfinity
-      j = 0
+      var j = 0
       while (j < L) {
-        scores(j) *= invSqrtD
-        if (scores(j) > mx) mx = scores(j)
+        s(j) *= invSqrtD
+        if (s(j) > mx) mx = s(j)
         j += 1
       }
       var z = 0.0f
       j = 0
-      while (j < L) { scores(j) = math.exp((scores(j) - mx).toDouble).toFloat; z += scores(j); j += 1 }
-      val o = new Array[Float](d)
+      while (j < L) { s(j) = math.exp((s(j) - mx).toDouble).toFloat; z += s(j); j += 1 }
       j = 0
-      while (j < L) { VecOps.axpy(scores(j) / z * 0.5f, vecs(j), o); j += 1 }
-      VecOps.axpy(0.5f, vecs(i), o)
-      VecOps.normalizeInPlace(o)
-      out(i) = o
+      while (j < L) { s(j) = s(j) / z * 0.5f; j += 1 }
     }
+    // Rows b until b + 4; `sc` holds 4 score rows of length L.
+    def block(b: Int, sc: Array[Array[Float]]): Unit = {
+      val q0 = vecs(b)
+      val q1 = vecs(math.min(b + 1, L - 1))
+      val q2 = vecs(math.min(b + 2, L - 1))
+      val q3 = vecs(math.min(b + 3, L - 1))
+      val s0 = sc(0); val s1 = sc(1); val s2 = sc(2); val s3 = sc(3)
+      sc.foreach(java.util.Arrays.fill(_, 0.0f))
+      var j = 0
+      var c = 0
+      while (c < d) {
+        val k = kt(c)
+        val a0 = q0(c); val a1 = q1(c); val a2 = q2(c); val a3 = q3(c)
+        j = 0
+        while (j < L) {
+          val kj = k(j)
+          s0(j) += a0 * kj; s1(j) += a1 * kj; s2(j) += a2 * kj; s3(j) += a3 * kj
+          j += 1
+        }
+        c += 1
+      }
+      sc.foreach(mixWeights)
+      val os = Array.ofDim[Float](4, d)
+      val o0 = os(0); val o1 = os(1); val o2 = os(2); val o3 = os(3)
+      j = 0
+      while (j < L) {
+        val x = vecs(j)
+        val p0 = s0(j); val p1 = s1(j); val p2 = s2(j); val p3 = s3(j)
+        var r = 0
+        while (r < d) {
+          val xr = x(r)
+          o0(r) += p0 * xr; o1(r) += p1 * xr; o2(r) += p2 * xr; o3(r) += p3 * xr
+          r += 1
+        }
+        j += 1
+      }
+      var i = b
+      while (i < math.min(b + 4, L)) {
+        val o = os(i - b)
+        VecOps.axpy(0.5f, vecs(i), o)
+        VecOps.normalizeInPlace(o)
+        out(i) = o
+        i += 1
+      }
+    }
+    val blocks = (L + 3) / 4
     if (parallel && L >= 16)
-      java.util.stream.IntStream.range(0, L).parallel().forEach(i => row(i, new Array[Float](L)))
+      java.util.stream.IntStream.range(0, blocks).parallel()
+        .forEach(bi => block(4 * bi, Array.ofDim[Float](4, L)))
     else {
-      val scores = new Array[Float](L)
-      var i = 0
-      while (i < L) { row(i, scores); i += 1 }
+      val sc = Array.ofDim[Float](4, L)
+      var bi = 0
+      while (bi < blocks) { block(4 * bi, sc); bi += 1 }
     }
     out
   }
@@ -306,32 +341,88 @@ final class PlmEmbedder(
     * O(L·d²). Each output coordinate r has its own accumulator s(r), summed
     * over c in order from the transposed weight rows, so the inner loop over
     * r is vectorizable and the result is bit-identical to a row-by-row
-    * mat-vec.
+    * mat-vec. Tokens go in blocks of 4, so each weight row `ffnWt(c)` is
+    * read once per block; lanes past the last token repeat it and their
+    * sums are dropped.
     */
   private def ffnLayer(vecs: Array[Array[Float]]): Unit = {
     val d = dCell
     val wt = ffnWt
-    def tok(i: Int, s: Array[Float]): Unit = {
-      val v = vecs(i)
-      java.util.Arrays.fill(s, 0.0f)
+    val L = vecs.length
+    // Tokens b until b + 4; `sb` holds 4 sum rows of length d.
+    def block(b: Int, sb: Array[Array[Float]]): Unit = {
+      val v0 = vecs(b)
+      val v1 = vecs(math.min(b + 1, L - 1))
+      val v2 = vecs(math.min(b + 2, L - 1))
+      val v3 = vecs(math.min(b + 3, L - 1))
+      val s0 = sb(0); val s1 = sb(1); val s2 = sb(2); val s3 = sb(3)
+      sb.foreach(java.util.Arrays.fill(_, 0.0f))
       var c = 0
       while (c < d) {
-        val vc = v(c)
         val w = wt(c)
+        val a0 = v0(c); val a1 = v1(c); val a2 = v2(c); val a3 = v3(c)
         var r = 0
-        while (r < d) { s(r) += w(r) * vc; r += 1 }
+        while (r < d) {
+          val wr = w(r)
+          s0(r) += wr * a0; s1(r) += wr * a1; s2(r) += wr * a2; s3(r) += wr * a3
+          r += 1
+        }
         c += 1
       }
-      var r = 0
-      while (r < d) { v(r) = v(r) + 0.15f * math.tanh(s(r).toDouble).toFloat; r += 1 }
-      VecOps.normalizeInPlace(v)
+      var i = b
+      while (i < math.min(b + 4, L)) {
+        val v = vecs(i)
+        val s = sb(i - b)
+        var r = 0
+        while (r < d) { v(r) = v(r) + 0.15f * PlmEmbedder.tanh(s(r)); r += 1 }
+        VecOps.normalizeInPlace(v)
+        i += 1
+      }
     }
-    if (parallel && vecs.length >= 8)
-      java.util.stream.IntStream.range(0, vecs.length).parallel().forEach(i => tok(i, new Array[Float](d)))
+    val blocks = (L + 3) / 4
+    if (parallel && L >= 8)
+      java.util.stream.IntStream.range(0, blocks).parallel()
+        .forEach(bi => block(4 * bi, Array.ofDim[Float](4, d)))
     else {
-      val s = new Array[Float](d)
-      var i = 0
-      while (i < vecs.length) { tok(i, s); i += 1 }
+      val sb = Array.ofDim[Float](4, d)
+      var bi = 0
+      while (bi < blocks) { block(4 * bi, sb); bi += 1 }
     }
+  }
+}
+
+object PlmEmbedder {
+  private final val SeriesBelow = 9.765625e-4 // 2^-10
+  private final val Slack = 3.637978807091713e-12 // 2^-38
+
+  /** `math.tanh(x.toDouble).toFloat`, bit for bit, without the native call
+    * for almost every input (see [[tanhFast]] and DESIGN §6).
+    */
+  private[embed] def tanh(x: Float): Float = {
+    val f = tanhFast(x)
+    if (f == f) f else math.tanh(x.toDouble).toFloat
+  }
+
+  /** `math.tanh(x.toDouble).toFloat` where a cheap double estimate t decides
+    * it, else NaN (always NaN for a NaN input). t is within about
+    * 2⁻⁴³·|tanh x|; if t ± |t|·2⁻³⁸ round to the same float, so does
+    * fdlibm's tanh, which is within 1 ulp of the true value (Ziv's rounding
+    * test). The series is kept in factored form, x·(…), so that −0.0 maps
+    * to −0.0.
+    */
+  private[embed] def tanhFast(x: Float): Float = {
+    val xd = x.toDouble
+    val a = math.abs(xd)
+    if (a > 20) return if (x > 0) 1.0f else -1.0f
+    val t =
+      if (a < SeriesBelow) { val x2 = xd * xd; xd * (1 - x2 / 3 + 2 * x2 * x2 / 15) }
+      else {
+        val e = Math.exp(2 * a)
+        val u = (e - 1) / (e + 1)
+        if (x < 0) -u else u
+      }
+    val slack = math.abs(t) * Slack
+    val lo = (t - slack).toFloat // −0.0 − 0.0 stays −0.0
+    if (lo == (t + slack).toFloat) lo else Float.NaN
   }
 }

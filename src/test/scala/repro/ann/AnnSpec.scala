@@ -4,6 +4,8 @@ import java.util.concurrent.{Callable, ForkJoinPool}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
+import repro.embed.VecOps
+
 object AnnFixtures {
   /** Clustered gaussian vectors: `n` points around `nClusters` centers. */
   def clustered(n: Int, dim: Int, nClusters: Int, seed: Long): IndexedSeq[Array[Float]] = {
@@ -201,5 +203,69 @@ class HnswSpec extends AnyFunSuite {
     val total = new Hnsw.SearchStats
     qs.foreach(h.search(_, 10, 64, total))
     assert(total.distances == qs.map(counts(_)._1).sum)
+  }
+
+  test("search with ef >= n is exact when layer 0 is strongly connected, with ties and duplicates (property)") {
+    import org.scalacheck.{Gen, Prop, Test => SCTest}
+    // Coordinates from a 4-value grid and copied points give exact ties and
+    // duplicate vectors. Within a run of equal distances the two may list
+    // ids in different orders (BruteForce by id, the heap by its sift
+    // order), so ids are checked as an exact answer: distinct, each at its
+    // reported distance, and the distance list equal to BruteForce's.
+    //
+    // The precondition is that every layer-0 node reaches every other.
+    // `health.unreachable == 0` is not enough: it walks from the entry
+    // point, while search enters layer 0 where the greedy descent ends.
+    // Counterexample (m=2, efC=4, addAll, n=16, ef=20): health reports 0
+    // unreachable nodes and search misses two of the 9 nearest.
+    val grid = Gen.oneOf(-1.0f, 0.0f, 0.5f, 1.0f)
+    val input = for {
+      d <- Gen.choose(1, 4)
+      n <- Gen.choose(1, 40)
+      pts <- Gen.listOfN(n, Gen.listOfN(d, grid).map(_.toArray))
+      dupOf <- Gen.listOfN(n, Gen.choose(-n, n - 1)) // >= 0: copy that point
+      m <- Gen.oneOf(2, 4, 8)
+      efC <- Gen.oneOf(4, 16, 64)
+      bulk <- Gen.oneOf(false, true)
+      q <- Gen.oneOf(Gen.choose(0, n - 1).map(Left(_)), Gen.listOfN(d, grid).map(c => Right(c.toArray)))
+      k <- Gen.choose(1, n + 2)
+      efExtra <- Gen.choose(0, 4)
+    } yield {
+      val vs = pts.indices.map(i => if (dupOf(i) >= 0 && dupOf(i) < i) pts(dupOf(i)).clone() else pts(i))
+      (d, vs, m, efC, bulk, q.fold(vs(_), identity), k, vs.size + efExtra)
+    }
+    def reachable(h: Hnsw, from: Int): Int = {
+      val seen = new Array[Boolean](h.size)
+      seen(from) = true
+      var stack = List(from)
+      var count = 1
+      while (stack.nonEmpty) {
+        val c = stack.head
+        stack = stack.tail
+        h.neighbors(c, 0).foreach(x => if (!seen(x)) { seen(x) = true; count += 1; stack = x :: stack })
+      }
+      count
+    }
+    var checked = 0
+    val prop = Prop.forAllNoShrink(input) { case (d, vs, m, efC, bulk, q, k, ef) =>
+      val h = new Hnsw(d, m = m, efConstruction = efC, seed = vs.size.toLong)
+      if (bulk) h.addAll(vs) else vs.foreach(h.add)
+      if (vs.indices.exists(reachable(h, _) < vs.size)) Prop.undecided
+      else {
+        checked += 1
+        val got = h.search(q, k, ef)
+        val want = BruteForce.search(vs, q, k)
+        Prop(h.health.unreachable == 0 &&
+          got.map(_._2).sameElements(want.map(_._2)) &&
+          got.map(_._1).distinct.length == got.length &&
+          got.forall { case (id, dist) => VecOps.l2(q, vs(id)) == dist }) :|
+          s"n=${vs.size} m=$m efC=$efC bulk=$bulk k=$k ef=$ef got ${got.toSeq} want ${want.toSeq}"
+      }
+    }
+    val params = SCTest.Parameters.default.withMinSuccessfulTests(500)
+      .withInitialSeed(org.scalacheck.rng.Seed(2024L))
+    val res = SCTest.check(params, prop)
+    assert(res.passed, res.status.toString)
+    info(s"$checked graphs checked, ${res.discarded} skipped as not strongly connected")
   }
 }

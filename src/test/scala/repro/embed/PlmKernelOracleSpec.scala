@@ -2,13 +2,15 @@ package repro.embed
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.lake.{LakeColumn, LakeConfig, LakeGenerator}
-import repro.text.{Contextualizer, TextOption}
+import repro.text.{Contextualizer, TextOption, Tokenizer}
 import repro.train.DiagonalHead
 
 /** [[PlmEmbedder]]'s kernels must reproduce [[ReferencePlmEmbedder]] exactly:
   * `java.util.Arrays.equals`, not a tolerance. Covered: the three size bands
-  * of Tables 8 and 15, all three PLMs, the serial and the parallel (GPU-sim)
-  * path, idf pooling on and off, and inputs off the generator's happy path.
+  * of Tables 8 and 15, exact token counts around the kernels' 4-row blocks
+  * and fan-out thresholds, all three PLMs, the serial and the parallel
+  * (GPU-sim) path, idf pooling on and off, and inputs off the generator's
+  * happy path.
   */
 class PlmKernelOracleSpec extends AnyFunSuite {
   private val lake = LakeConfig.webtable()
@@ -64,6 +66,19 @@ class PlmKernelOracleSpec extends AnyFunSuite {
             assertSame(s"$name head=${e.head.isDefined} column ${c.id}", e.embed(c), ref.embed(c))
           }
         }
+      }
+    }
+  }
+
+  test("encodeCells is bit-identical at exact token counts: every L mod 4 and both sides of the fan-out thresholds") {
+    // One token per cell, with repeats, so L is exactly the cell count.
+    // The kernels run rows in blocks of 4, and the parallel path fans out
+    // from L = 8 (FFN) and L = 16 (attention).
+    Seq(1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 135).foreach { len =>
+      val cells = (0 until len).map(i => s"w${i * 7 % 13}")
+      assert(cells.forall(Tokenizer.tokenize(_).size == 1))
+      pairs().foreach { case (name, e, ref) =>
+        assertSame(s"$name L=$len", e.encodeCells(cells), ref.encodeCells(cells))
       }
     }
   }
