@@ -396,7 +396,10 @@ object Hnsw {
 
   /** `levels(l)`: nodes whose top level is l. `degrees(l)`: out-degrees on
     * level l. `unreachable`: layer-0 nodes a walk from the entry point
-    * misses.
+    * misses. `unreachable == 0` does not make a search with ef ≥ n
+    * exhaustive: layer 0 is a directed graph, and search enters it at the
+    * node where the greedy descent through the upper layers ends, not at
+    * the entry point. Only a strongly connected layer 0 guarantees it.
     */
   final case class Health(levels: IndexedSeq[Int], degrees: IndexedSeq[Degrees],
                           unreachable: Int)

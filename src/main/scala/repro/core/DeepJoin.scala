@@ -35,15 +35,18 @@ object DeepJoin {
 
   /** Encode all columns with the given embedder, data-parallel on Spark.
     * Returns (column id, embedding), sorted by id for determinism.
+    *
+    * Each partition of `cols` is encoded where it is, with no shuffle, so
+    * the caller's partitioning is the parallelism: pass at least
+    * `defaultParallelism` partitions. The embedder is broadcast, so each
+    * executor deserializes it once and its tasks share that one instance.
     */
   def encodeAll(spark: SparkSession, cols: Dataset[LakeColumn],
                 embedder: ColumnEmbedder): Array[(Long, Array[Float])] = {
-    import spark.implicits._
-    val emb = embedder
-    cols.repartition(spark.sparkContext.defaultParallelism * 2)
-      .mapPartitions(_.map(c => (c.id, emb.embed(c))))
-      .collect()
-      .sortBy(_._1)
+    val emb = spark.sparkContext.broadcast(embedder)
+    try cols.rdd.mapPartitions { it => val e = emb.value; it.map(c => (c.id, e.embed(c))) }
+      .collect().sortBy(_._1)
+    finally emb.destroy()
   }
 
   /** Driver-side encoding for small column sets (e.g. query workloads). */

@@ -134,7 +134,9 @@ object LakeGenerator {
     (0 until n).map(i => genColumn(cfg, i + 1000000000L, QuerySalt))
 
   /** Columns whose size falls in [lo, hi]; ids drawn from a salted stream so
-    * each band is an independent sample (used by Tables 8 and 15).
+    * each band is an independent sample (used by Tables 8 and 15). The
+    * result is range-partitioned by id into `defaultParallelism` partitions,
+    * so [[repro.core.DeepJoin.encodeAll]] encodes it in parallel.
     */
   def columnsInSizeBand(spark: SparkSession, cfg: LakeConfig, n: Long,
                         lo: Int, hi: Int, salt: Long): Dataset[LakeColumn] = {
@@ -146,6 +148,7 @@ object LakeGenerator {
       .filter((c: LakeColumn) => c.size >= lo && c.size <= hi)
       .orderBy("id")
       .limit(n.toInt)
+      .repartitionByRange(spark.sparkContext.defaultParallelism, $"id")
   }
 
   /** Same, but on the driver (for query workloads per size band). */

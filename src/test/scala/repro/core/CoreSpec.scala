@@ -1,9 +1,10 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.embed.{FastTextEmbedder, PlmConfig, PlmEmbedder, VecOps}
-import repro.lake.{LakeConfig, LakeGenerator}
+import repro.embed.{ColumnEmbedder, FastTextEmbedder, PlmConfig, PlmEmbedder, VecOps}
+import repro.lake.{LakeColumn, LakeConfig, LakeGenerator}
 import repro.text.{Contextualizer, TextOption}
+import repro.train.DiagonalHead
 
 class DeepJoinSpec extends SparkSpec {
   private val cfg = LakeConfig.webtable()
@@ -22,12 +23,58 @@ class DeepJoinSpec extends SparkSpec {
     assert(e.map(_._1).toSeq == e.map(_._1).sorted.toSeq)
     assert(e.forall(_._2.length == embedder.dim))
   }
+  /** djbench's model shape: MPNet-sim with idf pooling over the
+    * repository's cell frequencies and a diagonal head with non-zero gains.
+    */
+  private def trainedStylePlm(): PlmEmbedder = {
+    val freq = repo.flatMap(_.cells.distinct).groupBy(identity).map { case (v, vs) => v -> vs.size.toLong }
+    val head = new DiagonalHead(PlmConfig.mpnet.dim)
+    val r = new scala.util.Random(0x6a1L)
+    head.g.indices.foreach(i => head.g(i) = (r.nextGaussian() * 0.3).toFloat)
+    new PlmEmbedder(PlmConfig.mpnet, new Contextualizer(TextOption.default, frequency = freq),
+      head = Some(head), idfPooling = true)
+  }
+
+  /** True when both encodings have the same ids and bit-identical vectors. */
+  private def sameEncoding(a: Array[(Long, Array[Float])], b: Array[(Long, Array[Float])]): Boolean =
+    a.map(_._1).sameElements(b.map(_._1)) &&
+      a.zip(b).forall { case ((_, x), (_, y)) => java.util.Arrays.equals(x, y) }
+
   test("encodeAll agrees with driver-side encoding") {
-    val viaSpark = DeepJoin.encodeAll(spark, repoDs, embedder).toMap
-    val local = DeepJoin.encodeAllLocal(repo, embedder).toMap
-    repo.take(10).foreach { c =>
-      assert(viaSpark(c.id).toSeq == local(c.id).toSeq)
+    val p = spark.sparkContext.defaultParallelism
+    val inputs = Seq(1 -> repoDs.coalesce(1), p -> repoDs, 3 * p -> repoDs.repartition(3 * p))
+    Seq(embedder, trainedStylePlm()).foreach { emb =>
+      val local = DeepJoin.encodeAllLocal(repo, emb)
+      inputs.foreach { case (parts, ds) =>
+        assert(ds.rdd.getNumPartitions == parts)
+        assert(sameEncoding(DeepJoin.encodeAll(spark, ds, emb), local), s"${emb.name}, $parts partitions")
+      }
     }
+  }
+  test("one PlmEmbedder instance encodes bit-identically from 4 threads at once") {
+    // encodeAll broadcasts the embedder, and in local mode every task
+    // thread gets the same instance, including its lazily built FFN table.
+    val cols = repo.take(40)
+    val want = DeepJoin.encodeAllLocal(cols, trainedStylePlm())
+    val shared = trainedStylePlm() // its FFN table is not built yet
+    val start = new java.util.concurrent.CountDownLatch(1)
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(4)
+    try {
+      val futures = (0 until 4).map { _ =>
+        pool.submit(new java.util.concurrent.Callable[Array[(Long, Array[Float])]] {
+          def call() = { start.await(); DeepJoin.encodeAllLocal(cols, shared) }
+        })
+      }
+      start.countDown()
+      futures.foreach(f => assert(sameEncoding(f.get(), want)))
+    } finally pool.shutdown()
+  }
+  test("a failing embed makes encodeAll throw, and the next encodeAll is correct") {
+    val bad = repo(123).id
+    val e = intercept[Exception](DeepJoin.encodeAll(spark, repoDs, new DeepJoinSpec.FailOn(embedder, bad)))
+    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .exists(t => String.valueOf(t.getMessage).contains(s"column $bad")), e.toString)
+    assert(sameEncoding(DeepJoin.encodeAll(spark, repoDs, embedder), DeepJoin.encodeAllLocal(repo, embedder)))
   }
   test("buildIndex + search returns k results with ascending distance") {
     val idx = DeepJoin.buildIndex(spark, repoDs, embedder)
@@ -89,5 +136,15 @@ class DeepJoinSpec extends SparkSpec {
     val idx = DeepJoin.buildIndex(spark, repoDs, embedder)
     val (_, t) = DeepJoin.search(idx, queries.head, 5)
     assert(math.abs(t.totalMs - (t.encodeMs + t.annMs)) < 1e-9)
+  }
+}
+
+object DeepJoinSpec {
+  /** Delegates to `inner` but throws on the column with id `bad`. */
+  final class FailOn(inner: ColumnEmbedder, bad: Long) extends ColumnEmbedder {
+    def name: String = inner.name
+    def dim: Int = inner.dim
+    def embed(col: LakeColumn): Array[Float] =
+      if (col.id == bad) throw new IllegalStateException(s"column $bad") else inner.embed(col)
   }
 }

@@ -169,9 +169,13 @@ class LakeSparkSpec extends SparkSpec {
     assert(ds.map(_.id).sorted.toSeq == (100L until 110L).toSeq)
   }
   test("columnsInSizeBand returns n columns inside the band") {
-    val ds = LakeGenerator.columnsInSizeBand(spark, cfg, 30, 11, 50, salt = 7L).collect()
-    assert(ds.length == 30)
-    assert(ds.forall(c => c.size >= 11 && c.size <= 50))
+    // The band's first n columns by id, in defaultParallelism partitions.
+    val ds = LakeGenerator.columnsInSizeBand(spark, cfg, 30, 11, 50, salt = 7L)
+    assert(ds.rdd.getNumPartitions == spark.sparkContext.defaultParallelism)
+    val want = Iterator.from(0).map(i => LakeGenerator.genColumn(cfg, i, 7L))
+      .filter(c => c.size >= 11 && c.size <= 50).take(30).toSeq
+    assert(want.length == 30)
+    assert(ds.collect().sortBy(_.id).toSeq == want)
   }
   test("corpus statistics via Spark SQL match DuckDB") {
     import spark.implicits._
