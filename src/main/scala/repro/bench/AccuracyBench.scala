@@ -23,17 +23,19 @@ object AccuracyBench {
   // ------------------------------------------------------------- retrieval
 
   /** Retrieve top-k ids per query with an embedder (memoized by corpus,
-    * name and k, so `name` must identify the embedder).
+    * embedder instance and k: trained models are [[World.memo]] singletons
+    * and fastText is [[World.fastText]], so every table that asks for one
+    * of them on a corpus shares one retrieval).
     */
-  def retrieve(spark: SparkSession, c: World.Corpus, name: String,
+  def retrieve(spark: SparkSession, c: World.Corpus,
                emb: ColumnEmbedder, k: Int): Map[Long, Seq[Long]] =
-    World.memo(("retrieval", c, name, k)) {
+    World.memo(("retrieval", c, emb, k)) {
       World.retrieveAll(DeepJoin.buildIndex(spark, c.repoDs, emb), c.queries, k)
     }
 
   /** LSH Ensemble retrieval (memoized). */
   def retrieveLsh(c: World.Corpus, k: Int): Map[Long, Seq[Long]] =
-    World.memo(("retrieval", c, "LSH Ensemble", k)) {
+    World.memo(("lshRetrieval", c, k)) {
       val lsh = LshEnsemble.build(c.repo.map(col => (col.id, col.cells)))
       c.queries.map(q => q.id -> lsh.topK(q.cells, k).map(_._1)).toMap
     }
@@ -48,14 +50,14 @@ object AccuracyBench {
     val ctxCol = new Contextualizer(TextOption.Col, frequency = c.cellFrequency)
     Seq(
       "LSH Ensemble" -> retrieveLsh(c, k),
-      "fastText" -> retrieve(spark, c, "fastText", new FastTextEmbedder(), k),
-      "BERT" -> retrieve(spark, c, "BERT", new PlmEmbedder(PlmConfig.bert, ctxCol), k),
-      "MPNet" -> retrieve(spark, c, "MPNet", new PlmEmbedder(PlmConfig.mpnet, ctxCol), k),
-      "TaBERT" -> retrieve(spark, c, "TaBERT", new TabertEmbedder(), k),
-      "MLP" -> retrieve(spark, c, "MLP", World.trainMlp(spark, train), k),
-      "DeepJoin-DistilBERT" -> retrieve(spark, c, "DJ-DistilBERT-equi",
+      "fastText" -> retrieve(spark, c, World.fastText, k),
+      "BERT" -> retrieve(spark, c, new PlmEmbedder(PlmConfig.bert, ctxCol), k),
+      "MPNet" -> retrieve(spark, c, new PlmEmbedder(PlmConfig.mpnet, ctxCol), k),
+      "TaBERT" -> retrieve(spark, c, new TabertEmbedder(), k),
+      "MLP" -> retrieve(spark, c, World.trainMlp(spark, train), k),
+      "DeepJoin-DistilBERT" -> retrieve(spark, c,
         World.trainDeepJoin(spark, train, Equi, PlmConfig.distilbert), k),
-      "DeepJoin-MPNet" -> retrieve(spark, c, "DJ-MPNet-equi",
+      "DeepJoin-MPNet" -> retrieve(spark, c,
         World.trainDeepJoin(spark, train, Equi, PlmConfig.mpnet), k),
     )
   }
@@ -67,10 +69,10 @@ object AccuracyBench {
                       tau: Double, k: Int): Seq[(String, Map[Long, Seq[Long]])] =
     Seq(
       "LSH Ensemble" -> retrieveLsh(c, k),
-      "fastText" -> retrieve(spark, c, "fastText", new FastTextEmbedder(), k),
-      "DeepJoin-DistilBERT" -> retrieve(spark, c, s"DJ-DistilBERT-sem$tau",
+      "fastText" -> retrieve(spark, c, World.fastText, k),
+      "DeepJoin-DistilBERT" -> retrieve(spark, c,
         World.trainDeepJoin(spark, train, Semantic(tau), PlmConfig.distilbert), k),
-      "DeepJoin-MPNet" -> retrieve(spark, c, s"DJ-MPNet-sem$tau",
+      "DeepJoin-MPNet" -> retrieve(spark, c,
         World.trainDeepJoin(spark, train, Semantic(tau), PlmConfig.mpnet), k),
     )
 
@@ -166,7 +168,7 @@ object AccuracyBench {
         println(s"-- ${cfg.name}: precision@k | ndcg@k, k=${ks.mkString(",")}")
         TextOption.all.foreach { opt =>
           val dj = World.trainDeepJoin(spark, c, jt, PlmConfig.mpnet, opt)
-          val res = retrieve(spark, c, s"DJ-MPNet-${jt.label}-${opt.name}", dj, kMax)
+          val res = retrieve(spark, c, dj, kMax)
           println(f"${opt.name}%-26s ${scores(spark, c, jt, res)}")
         }
       }
@@ -186,7 +188,7 @@ object AccuracyBench {
         shuffleRates.foreach { rate =>
           val dj = World.trainDeepJoin(spark, c, jt, PlmConfig.mpnet,
             shuffleRate = Some(rate))
-          val res = retrieve(spark, c, s"DJ-MPNet-${jt.label}-r$rate", dj, kMax)
+          val res = retrieve(spark, c, dj, kMax)
           println(f"rate=$rate%-21.1f ${scores(spark, c, jt, res)}")
         }
       }

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.apache.spark.sql.SparkSession
-import repro.embed.{FastTextEmbedder, PlmConfig}
+import repro.embed.PlmConfig
 import repro.eval.Metrics
 import repro.lake.{LakeColumn, LakeConfig}
 
@@ -57,9 +57,9 @@ object StatsAndExpertBench {
       val kMax = AccuracyBench.kMax
       val methods: Seq[(String, Map[Long, Seq[Long]])] = Seq(
         "LSH Ensemble" -> top(AccuracyBench.retrieveLsh(c, kMax)),
-        "fastText" -> top(AccuracyBench.retrieve(spark, c, "fastText", new FastTextEmbedder(), kMax)),
+        "fastText" -> top(AccuracyBench.retrieve(spark, c, World.fastText, kMax)),
         "PEXESO" -> c.queries.map(q => q.id -> px.topK(q.cells, tau, k).map(_._1)).toMap,
-        "DeepJoin-MPNet" -> top(AccuracyBench.retrieve(spark, c, s"DJ-MPNet-sem$tau",
+        "DeepJoin-MPNet" -> top(AccuracyBench.retrieve(spark, c,
           World.trainDeepJoin(spark, c, Semantic(tau), PlmConfig.mpnet), kMax)),
       )
       // Retrieved pool per query = union over methods (the paper's protocol

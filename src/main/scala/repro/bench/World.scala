@@ -141,9 +141,13 @@ object World {
   /** Cap on training pairs, to keep ablation sweeps tractable. */
   val maxTrainPairs = 20000
 
-  /** Fine-tuning hyper-parameters shared by every table (Trainer.Config). */
+  /** At most [[maxTrainPairs]] of `pos`, a seeded random sample if more. */
+  private def capped(pos: Seq[TrainingData.Pair], seed: Long): Seq[TrainingData.Pair] =
+    if (pos.size <= maxTrainPairs) pos
+    else new scala.util.Random(seed).shuffle(pos.toVector).take(maxTrainPairs)
+
+  /** Fine-tuning learning rate shared by every table (Trainer.Config). */
   private val learningRate = 2e-3
-  private val mnrScale = 20.0
 
   /** Fine-tune a DeepJoin model: featurize (Spark), augment, train head.
     * The last `epochs / 2` epochs batch group-first (hard negatives).
@@ -163,12 +167,7 @@ object World {
       val base = new PlmEmbedder(plm, ctx, head = None, idfPooling = true)
 
       val pos0 = positives(spark, c, jt)
-      val pos =
-        if (pos0.size <= maxTrainPairs) pos0
-        else {
-          val r = new scala.util.Random(0xca11L)
-          r.shuffle(pos0.toVector).take(maxTrainPairs)
-        }
+      val pos = capped(pos0, seed = 0xca11L)
       val augmented = TrainingData.augment(pos, rate, seed = 0x5fffL)
 
       // Featurize every training column and every shuffled copy on Spark.
@@ -182,7 +181,7 @@ object World {
 
       val trainSeed = Words.mixSeed(c.cfg.name, jt.label, option.name, rate)
       val trainCfg = Trainer.Config(epochs = epochs, lr = learningRate,
-        hardEpochs = epochs / 2, scale = mnrScale, seed = trainSeed)
+        hardEpochs = epochs / 2, seed = trainSeed)
 
       // Masking uses the original x id even for shuffled copies (the
       // shuffled column has the same joinability structure as its source).
@@ -211,14 +210,17 @@ object World {
   /** The MLP baseline trained for the corpus (equi tables only). */
   def trainMlp(spark: SparkSession, c: Corpus): MlpBaseline =
     memo(("mlp", c)) {
-      val pos0 = positives(spark, c, Equi)
-      val pos = if (pos0.size <= maxTrainPairs) pos0
-                else new scala.util.Random(0x3bL).shuffle(pos0.toVector).take(maxTrainPairs)
-      MlpBaseline.trainFromPairs(new FastTextEmbedder(), pos, c.train,
+      val pos = capped(positives(spark, c, Equi), seed = 0x3bL)
+      MlpBaseline.trainFromPairs(fastText, pos, c.train,
         (a, b) => Joinability.equiJn(a.cells, b.cells))
     }
 
   // ------------------------------------------------------------ retrieval
+
+  /** The one fastText embedder of every bench, so that memo keys holding
+    * it (retrievals, timing embeddings and indexes) match across tables.
+    */
+  val fastText: FastTextEmbedder = new FastTextEmbedder()
 
   /** Retrieve top-k ids for every query. */
   def retrieveAll(idx: DeepJoinIndex, queries: Seq[LakeColumn],

@@ -4,6 +4,7 @@ import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.ann.Hnsw
 import repro.embed.ColumnEmbedder
 import repro.lake.LakeColumn
+import scala.collection.immutable.ArraySeq
 
 /** Per-query timing breakdown (the paper reports query encoding separately
   * from end-to-end time in Tables 13–15).
@@ -62,7 +63,7 @@ object DeepJoin {
                  m: Int = 16, efConstruction: Int = 200): DeepJoinIndex = {
     require(embeddings.nonEmpty, "empty repository")
     val hnsw = new Hnsw(embeddings.head._2.length, m, efConstruction)
-    hnsw.addAll(embeddings.map(_._2))
+    hnsw.addAll(ArraySeq.unsafeWrapArray(embeddings.map(_._2)))
     new DeepJoinIndex(hnsw, embeddings.map(_._1), embedder)
   }
 

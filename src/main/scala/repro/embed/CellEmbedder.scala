@@ -8,10 +8,10 @@ package repro.embed
   * distinct entities land far away. The paper's vector-matching thresholds
   * τ ∈ {0.9, 0.8, 0.7} then carve out progressively stricter match sets.
   */
-final class CellEmbedder(val dim: Int = 32, val seed: Long = 0x5eedceL)
-  extends Serializable {
+final class CellEmbedder private () extends Serializable {
 
-  private val emb = new HashEmbedder(dim, seed, useCharNgrams = true, minN = 2, maxN = 4)
+  val dim: Int = 32
+  private val emb = new HashEmbedder(dim, 0x5eedceL, useCharNgrams = true, minN = 2, maxN = 4)
 
   /** Unit vector for one cell value. */
   def embed(cell: String): Array[Float] = {

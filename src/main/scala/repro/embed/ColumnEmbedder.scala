@@ -20,10 +20,10 @@ trait ColumnEmbedder extends Serializable {
 /** The fastText baseline: plain average of cell embeddings, no metadata,
   * no fine-tuning, order-insensitive.
   */
-final class FastTextEmbedder(val dim: Int = 300, seed: Long = 0xfa57L)
-  extends ColumnEmbedder {
+final class FastTextEmbedder extends ColumnEmbedder {
   override val name = "fastText"
-  private val emb = new HashEmbedder(dim, seed, useCharNgrams = true)
+  override val dim = 300
+  private val emb = new HashEmbedder(dim, 0xfa57L, useCharNgrams = true)
 
   override def embed(col: LakeColumn): Array[Float] = {
     val v = new Array[Float](dim)

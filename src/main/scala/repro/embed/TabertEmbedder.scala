@@ -9,16 +9,15 @@ import repro.text.Tokenizer
   * A QA model's column representation leans on headers/captions and a small
   * sample of cell evidence rather than the full value distribution; we model
   * that by weighting metadata tokens heavily and truncating cell content to
-  * the first few cells. As in the paper, this mismatch makes TaBERT
+  * the first 8 cells. As in the paper, this mismatch makes TaBERT
   * underperform plain fastText averaging on joinable-table discovery.
   */
-final class TabertEmbedder(
-    val dim: Int = 256,
-    seed: Long = 0x7ab3L,
-    cellSample: Int = 8) extends ColumnEmbedder {
+final class TabertEmbedder extends ColumnEmbedder {
 
   override val name = "TaBERT"
-  private val emb = new HashEmbedder(dim, seed, useCharNgrams = true)
+  override val dim = 256
+  private val cellSample = 8
+  private val emb = new HashEmbedder(dim, 0x7ab3L, useCharNgrams = true)
 
   override def embed(col: LakeColumn): Array[Float] = {
     val v = new Array[Float](dim)

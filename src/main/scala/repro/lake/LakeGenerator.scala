@@ -122,9 +122,9 @@ object LakeGenerator {
 
   /** Repository of `n` columns with ids [idOffset, idOffset + n). */
   def columns(spark: SparkSession, cfg: LakeConfig, n: Long,
-              idOffset: Long = 0L, salt: Long = 0L): Dataset[LakeColumn] = {
+              idOffset: Long = 0L): Dataset[LakeColumn] = {
     import spark.implicits._
-    spark.range(n).map(i => genColumn(cfg, i + idOffset, salt))
+    spark.range(n).map(i => genColumn(cfg, i + idOffset))
   }
 
   /** Query workload: ids disjoint from any repository (different salt),

@@ -21,28 +21,29 @@ final class MlpBaseline private (
   override val name = "MLP"
   override def dim: Int = hidden
 
-  private[train] def hiddenOf(x: Array[Float]): Array[Float] = {
-    val h = new Array[Float](hidden)
-    var r = 0
-    while (r < hidden) {
-      var s = b1(r)
-      val off = r * base.dim
-      var c = 0
-      while (c < base.dim) { s += w1(off + c) * x(c); c += 1 }
-      h(r) = math.tanh(s.toDouble).toFloat
-      r += 1
-    }
-    h
-  }
-
   override def embed(col: LakeColumn): Array[Float] = {
-    val h = hiddenOf(base.embed(col))
+    val h = MlpBaseline.hiddenOf(w1, b1, base.embed(col))
     VecOps.normalizeInPlace(h)
     h
   }
 }
 
 object MlpBaseline {
+
+  /** The hidden layer tanh(W1·x + b1), with W1 row-major (|b1| × |x|). */
+  private def hiddenOf(w1: Array[Float], b1: Array[Float], x: Array[Float]): Array[Float] = {
+    val h = new Array[Float](b1.length)
+    var r = 0
+    while (r < b1.length) {
+      var s = b1(r)
+      val off = r * x.length
+      var c = 0
+      while (c < x.length) { s += w1(off + c) * x(c); c += 1 }
+      h(r) = math.tanh(s.toDouble).toFloat
+      r += 1
+    }
+    h
+  }
 
   final case class Config(
       hidden: Int = 0, // <= 0: same as the input dimension (identity init)
@@ -72,20 +73,6 @@ object MlpBaseline {
     var b = 0.0f
     val adam = new Adam(Seq(w1.length, b1.length, w.length, 1), cfg.lr)
 
-    def hid(x: Array[Float]): Array[Float] = {
-      val out = new Array[Float](h)
-      var r = 0
-      while (r < h) {
-        var s = b1(r)
-        val off = r * dIn
-        var c = 0
-        while (c < dIn) { s += w1(off + c) * x(c); c += 1 }
-        out(r) = math.tanh(s.toDouble).toFloat
-        r += 1
-      }
-      out
-    }
-
     var epoch = 0
     while (epoch < cfg.epochs) {
       val order = rnd.shuffle(examples.indices.toVector)
@@ -96,7 +83,7 @@ object MlpBaseline {
         val gB = new Array[Float](1)
         idxs.foreach { i =>
           val (x, y, jn) = examples(i)
-          val hx = hid(x); val hy = hid(y)
+          val hx = hiddenOf(w1, b1, x); val hy = hiddenOf(w1, b1, y)
           val prod = new Array[Float](h)
           var r = 0
           var z = b.toDouble

@@ -5,31 +5,32 @@ import scala.util.Random
 
 /** Metric-learning trainer for DeepJoin (Section 4.2).
   *
-  * Minimizes the multiple-negatives ranking loss over batches of positive
-  * pairs {(Xᵢ, Yᵢ)} with cosine scoring scaled by `scale`, treating every
+  * Minimizes the multiple-negatives ranking loss over batches of 32 positive
+  * pairs {(Xᵢ, Yᵢ)} with cosine scoring scaled by 20, treating every
   * (Xᵢ, Yⱼ), j ≠ i in a batch as a negative (in-batch negatives):
   *
-  *   L = -1/N Σᵢ [ S(Xᵢ,Yᵢ) − log Σⱼ exp(S(Xᵢ,Yⱼ)) ],  S = scale·cos.
+  *   L = -1/N Σᵢ [ S(Xᵢ,Yᵢ) − log Σⱼ exp(S(Xᵢ,Yⱼ)) ],  S = 20·cos.
   *
   * Gradients are derived by hand through the cosine, the L2 normalization,
-  * and the head's gains; parameters are updated with Adam. The PLM features
+  * and the head's gains; parameters are updated with Adam and decoupled
+  * (AdamW-style) weight decay 0.01, as the paper trains. The PLM features
   * are frozen (cached per column), which is what makes the ablation sweeps
   * over contextualization and shuffle rate tractable.
   */
 object Trainer {
 
+  private val BatchSize = 32
+  private val Scale = 20.0f
+  private val WeightDecay = 0.01
+
   final case class Config(
-      batch: Int = 32,
       epochs: Int = 3,
       lr: Double = 1e-3,
-      scale: Double = 20.0,
       /** Number of final epochs batched group-first (hard in-batch
         * negatives); the earlier ones use global shuffling (easy negatives),
         * so the model both separates domains and discriminates within them.
         */
       hardEpochs: Int = 0,
-      /** AdamW-style decoupled weight decay (the paper trains with 0.01). */
-      weightDecay: Double = 0.01,
       seed: Long = 0x7a11L) {
     /** Whether epoch `e` (0-based) is batched group-first. */
     def grouped(e: Int): Boolean = e >= epochs - hardEpochs
@@ -59,7 +60,7 @@ object Trainer {
             knownPositives: Set[(Long, Long)] = Set.empty): (DiagonalHead, Seq[Double]) = {
     require(examples.nonEmpty, "no training examples")
     val head = new DiagonalHead(dIn)
-    val adam = new Adam(head.parameters.map(_.length), cfg.lr, weightDecay = cfg.weightDecay)
+    val adam = new Adam(head.parameters.map(_.length), cfg.lr, weightDecay = WeightDecay)
     val rnd = new Random(cfg.seed)
     val losses = scala.collection.mutable.ArrayBuffer.empty[Double]
 
@@ -75,9 +76,9 @@ object Trainer {
         else rnd.shuffle(examples.indices.toVector)
       var epochLoss = 0.0
       var nBatches = 0
-      order.grouped(cfg.batch).foreach { idxs =>
+      order.grouped(BatchSize).foreach { idxs =>
         if (idxs.size >= 2) { // need in-batch negatives
-          epochLoss += step(head, adam, idxs.map(examples), cfg, knownPositives)
+          epochLoss += step(head, adam, idxs.map(examples), knownPositives)
           nBatches += 1
         }
       }
@@ -90,12 +91,11 @@ object Trainer {
   /** One batch step; returns the batch loss. */
   private[train] def step(head: DiagonalHead, adam: Adam,
                           batch: Seq[Example],
-                          cfg: Config,
                           knownPositives: Set[(Long, Long)]): Double = {
     val n = batch.size
     val fx = batch.map(p => head.forward(p.x)) // (e, u) for X side
     val fy = batch.map(p => head.forward(p.y))
-    val s = cfg.scale.toFloat
+    val s = Scale
 
     // allowed(i)(j): Y_j participates in row i's softmax. The diagonal is
     // the positive; a known-positive or same-target (X_i, Y_j) is excluded.

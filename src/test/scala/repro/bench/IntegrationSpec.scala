@@ -58,6 +58,13 @@ class WorldIntegrationSpec extends SparkSpec {
     assert(p >= 0.0 && p <= 1.0)
     assert(n >= 0.0 && n <= 1.5) // model NDCG can slightly exceed 1 on ties
   }
+  test("retrievals are memoized by embedder instance") {
+    val shared = AccuracyBench.retrieve(spark, c, World.fastText, 10)
+    assert(AccuracyBench.retrieve(spark, c, World.fastText, 10) eq shared)
+    val own = AccuracyBench.retrieve(spark, c, new FastTextEmbedder(), 10)
+    assert(own ne shared)
+    assert(own == shared)
+  }
   test("jnLookup agrees with direct computation (equi)") {
     val look = World.jnLookup(c, Equi)
     val q = c.queries.head

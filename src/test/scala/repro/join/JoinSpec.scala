@@ -102,41 +102,67 @@ class JoinabilitySparkSpec extends SparkSpec {
       "q" -> qDf.select($"cell".cast("string").as("cell")),
       "r" -> rDf.select($"id".cast("string").as("id"), $"cell".cast("string").as("cell")))
   }
-  test("repeated cells count once: jn <= 1 and JOSIE, equiTopK, equiSelfJoin and equiJn agree") {
+  private def col(id: Long, cells: Seq[String]): LakeColumn =
+    LakeColumn(id, "t", "c", "", 0, -1, 0, cells, cells.indices.map(_.toLong))
+
+  /** Where JOSIE `topK` or `equiTopKMap` differ from brute-force `equiJn`
+    * on the ranking or jn values of `qs` at `k`, or `equiSelfJoin` at 0.5
+    * from the brute-force pair set; empty when all agree. Runs one Spark job
+    * for the top-k of every query and one for the self-join.
+    */
+  private def equiDisagreements(cols: Seq[LakeColumn], qs: Seq[LakeColumn], k: Int): Seq[String] = {
     import spark.implicits._
-    def col(id: Long, cells: String*) =
-      LakeColumn(id, "t", "c", "", 0, -1, 0, cells, cells.indices.map(_.toLong))
-    val cols = Seq(
-      col(1, "a", "a", "a", "b"),
-      col(2, "a", "b", "c", "d"),
-      col(3, "b", "b", "c"),
-      col(4, "x", "x", "y"),
-      col(5, "a", "c", "c", "c", "e"))
-    val qs = Seq(col(100, "a", "a", "b"), col(101, "c", "c", "x", "b"),
-      col(102, "a", "b", "c", "a"))
-    val k = 3
     val ds = spark.createDataset(cols)
     val viaSpark = Joinability.equiTopKMap(spark, spark.createDataset(qs), ds, k)
     val josie = Josie.build(cols.map(c => (c.id, c.cells)))
-    def sameRanking(got: Seq[(Long, Double)], exp: Seq[(Long, Double)]): Unit = {
-      assert(got.map(_._1) == exp.map(_._1))
-      got.zip(exp).foreach { case ((_, a), (_, b)) => assert(math.abs(a - b) < 1e-9) }
-    }
-    qs.foreach { q =>
+    val topK = qs.flatMap { q =>
       val brute = cols.map(x => (x.id, Joinability.equiJn(q.cells, x.cells)))
         .filter(_._2 > 0).sortBy { case (id, jn) => (-jn, id) }.take(k)
-      assert(brute.forall(_._2 <= 1.0))
-      sameRanking(viaSpark.getOrElse(q.id, Seq.empty), brute)
-      sameRanking(josie.topK(q.cells, k), brute)
+      Seq("equiTopKMap" -> viaSpark.getOrElse(q.id, Seq.empty), "JOSIE" -> josie.topK(q.cells, k))
+        .collect { case (name, got) if got != brute => s"$name, query ${q.cells}, k=$k: $got != $brute" }
     }
-    val pairs = Joinability.equiSelfJoin(spark, ds, 0.5).as[(Long, Long, Double)]
-      .collect().map(p => (p._1, p._2) -> p._3).toMap
+    val pairs = Joinability.equiSelfJoin(spark, ds, 0.5).as[(Long, Long, Double)].collect().toSet
     val expPairs = (for {
       a <- cols; b <- cols if a.id != b.id
       jn = Joinability.equiJn(a.cells, b.cells) if jn >= 0.5
-    } yield (a.id, b.id) -> jn).toMap
-    assert(pairs.keySet == expPairs.keySet)
-    pairs.foreach { case (p, jn) => assert(math.abs(jn - expPairs(p)) < 1e-9) }
+    } yield (a.id, b.id, jn)).toSet
+    topK ++ (if (pairs == expPairs) Nil else Seq(s"equiSelfJoin: $pairs != $expPairs"))
+  }
+
+  test("repeated cells count once: jn <= 1 and JOSIE, equiTopK, equiSelfJoin and equiJn agree") {
+    val cols = Seq(
+      col(1, Seq("a", "a", "a", "b")),
+      col(2, Seq("a", "b", "c", "d")),
+      col(3, Seq("b", "b", "c")),
+      col(4, Seq("x", "x", "y")),
+      col(5, Seq("a", "c", "c", "c", "e")))
+    val qs = Seq(col(100, Seq("a", "a", "b")), col(101, Seq("c", "c", "x", "b")),
+      col(102, Seq("a", "b", "c", "a")))
+    qs.foreach(q => cols.foreach(x => assert(Joinability.equiJn(q.cells, x.cells) <= 1.0)))
+    assert(equiDisagreements(cols, qs, 3).isEmpty)
+  }
+  test("JOSIE, equiTopKMap, equiSelfJoin and brute-force equiJn agree on adversarial columns (property)") {
+    import org.scalacheck.{Gen, Prop, Test => SCTest}
+    import org.scalacheck.Prop.propBoolean
+    // Empty and blank strings, case, combining and precomposed accents,
+    // CJK, a surrogate pair, and repeats (each column draws from 13 values).
+    val pool = Seq("", " ", "a", "A", "ab", "a b", "naïve", "nai\u0308ve", "ünïcödé",
+      "日本語", "東京", "東京都", "\ud83d\ude00")
+    val column = Gen.choose(0, 8).flatMap(n => Gen.listOfN(n, Gen.oneOf(pool)))
+    val input = for {
+      cells <- Gen.choose(0, 7).flatMap(Gen.listOfN(_, column))
+      qCells <- Gen.choose(1, 4).flatMap(Gen.listOfN(_, column))
+      kSel <- Gen.choose(0, 3)
+    } yield (cells :+ Nil, qCells, kSel) // always one column with no cells
+    val prop = Prop.forAll(input) { case (cells, qCells, kSel) =>
+      val cols = cells.zipWithIndex.map { case (cs, i) => col(10L + i, cs) }
+      val qs = qCells.zipWithIndex.map { case (cs, i) => col(1000L + i, cs) }
+      val k = Seq(0, 1, cols.size, cols.size + 5)(kSel)
+      val bad = equiDisagreements(cols, qs, k)
+      bad.isEmpty :| bad.mkString("; ")
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(30), prop)
+    assert(res.passed, res.status.toString)
   }
   test("equiSelfJoin finds exactly the pairs above the threshold") {
     import spark.implicits._
