@@ -66,7 +66,7 @@ final class Hnsw(
 
   /** Insert a vector; its id is the insertion index. Returns the id. */
   def add(v: Array[Float]): Int = {
-    insert(IndexedSeq(v), exact = false)
+    insert(IndexedSeq(v))
     n - 1
   }
 
@@ -78,7 +78,7 @@ final class Hnsw(
     * apply serially in id order. The graph does not depend on the thread
     * count; a batch of one is [[add]].
     */
-  def addAll(vs: IndexedSeq[Array[Float]]): Unit = insert(vs, exact = true)
+  def addAll(vs: IndexedSeq[Array[Float]]): Unit = insert(vs)
 
   /** kNN by Euclidean distance; `ef >= k` controls recall. `stats`, if
     * given, accumulates this search's counters.
@@ -110,11 +110,11 @@ final class Hnsw(
 
   // ------------------------------------------------------------ insertion
 
-  private def insert(vs: IndexedSeq[Array[Float]], exact: Boolean): Unit = {
+  private def insert(vs: IndexedSeq[Array[Float]]): Unit = {
     vs.foreach(v => require(v.length == dim, s"dim mismatch: ${v.length} != $dim"))
     val start = n
     val total = n + vs.length
-    reserve(total, exact)
+    reserve(total)
     var id = start
     while (id < total) {
       System.arraycopy(vs(id - start), 0, vecs, id * dim, dim)
@@ -155,11 +155,13 @@ final class Hnsw(
     }
   }
 
-  /** Grows the arrays to hold `total` nodes: exactly, or by doubling. */
-  private def reserve(total: Int, exact: Boolean): Unit = {
+  /** Grows the arrays to hold `total` nodes, to at least twice their
+    * capacity; one [[addAll]] into an empty index allocates exactly `total`.
+    */
+  private def reserve(total: Int): Unit = {
     val cap = levels.length
     if (total > cap) {
-      val c = if (exact) total else math.max(total, 2 * cap)
+      val c = math.max(total, 2 * cap)
       vecs = Arrays.copyOf(vecs, c * dim)
       levels = Arrays.copyOf(levels, c)
       links0 = Arrays.copyOf(links0, c * stride0)

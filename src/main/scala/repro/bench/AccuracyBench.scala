@@ -12,8 +12,8 @@ import repro.text.{Contextualizer, TextOption}
   * All methods share the retrieval protocol of Section 5.1: embedding
   * methods answer from an HNSW index over the repository, LSH Ensemble from
   * its partitioned MinHash structure, and precision@k / NDCG@k are computed
-  * against the exact top-k (inverted-list overlap search for equi-joins,
-  * PEXESO for semantic joins).
+  * against the exact top-k ([[World.exact]]: JOSIE for equi-joins, PEXESO
+  * for semantic joins).
   */
 object AccuracyBench {
 
@@ -23,9 +23,10 @@ object AccuracyBench {
   // ------------------------------------------------------------- retrieval
 
   /** Retrieve top-k ids per query with an embedder (memoized by corpus,
-    * embedder instance and k: trained models are [[World.memo]] singletons
-    * and fastText is [[World.fastText]], so every table that asks for one
-    * of them on a corpus shares one retrieval).
+    * embedder instance and k: trained models and raw PLM baselines are
+    * [[World.memo]] singletons, and fastText and TaBERT are [[World.fastText]]
+    * and [[World.tabert]], so every table that asks for one of them on a
+    * corpus shares one retrieval).
     */
   def retrieve(spark: SparkSession, c: World.Corpus,
                emb: ColumnEmbedder, k: Int): Map[Long, Seq[Long]] =
@@ -42,18 +43,26 @@ object AccuracyBench {
 
   // --------------------------------------------------------- method suites
 
+  /** A PLM baseline without fine-tuning (cells-only `col` text, mean
+    * pooling), one instance per corpus and model so that every table that
+    * asks for it on `c` shares one retrieval.
+    */
+  private def rawPlm(c: World.Corpus, plm: PlmConfig): PlmEmbedder =
+    World.memo(("rawPlm", c, plm)) {
+      new PlmEmbedder(plm, new Contextualizer(TextOption.Col, frequency = c.cellFrequency))
+    }
+
   /** The methods of Table 3 (equi-joins): name -> top-k retrieval over
     * `c`'s repository; the trained methods learn on `train`.
     */
   def equiMethods(spark: SparkSession, c: World.Corpus, train: World.Corpus,
                   k: Int): Seq[(String, Map[Long, Seq[Long]])] = {
-    val ctxCol = new Contextualizer(TextOption.Col, frequency = c.cellFrequency)
     Seq(
       "LSH Ensemble" -> retrieveLsh(c, k),
       "fastText" -> retrieve(spark, c, World.fastText, k),
-      "BERT" -> retrieve(spark, c, new PlmEmbedder(PlmConfig.bert, ctxCol), k),
-      "MPNet" -> retrieve(spark, c, new PlmEmbedder(PlmConfig.mpnet, ctxCol), k),
-      "TaBERT" -> retrieve(spark, c, new TabertEmbedder(), k),
+      "BERT" -> retrieve(spark, c, rawPlm(c, PlmConfig.bert), k),
+      "MPNet" -> retrieve(spark, c, rawPlm(c, PlmConfig.mpnet), k),
+      "TaBERT" -> retrieve(spark, c, World.tabert, k),
       "MLP" -> retrieve(spark, c, World.trainMlp(spark, train), k),
       "DeepJoin-DistilBERT" -> retrieve(spark, c,
         World.trainDeepJoin(spark, train, Equi, PlmConfig.distilbert), k),
@@ -81,23 +90,22 @@ object AccuracyBench {
   /** Mean precision@k and NDCG@k for every k in `ks`, of one retrieval
     * against `c`'s exact top-`ks.max` under `jt`.
     */
-  private def evaluate(spark: SparkSession, c: World.Corpus, jt: JoinType,
-                       res: Map[Long, Seq[Long]], ks: Seq[Int]): Map[Int, (Double, Double)] =
-    World.evalRetrieval(c, res, World.exact(spark, c, jt, ks.max), ks, World.jnLookup(c, jt))
+  private def evaluate(c: World.Corpus, jt: JoinType, res: Map[Long, Seq[Long]],
+                       ks: Seq[Int]): Map[Int, (Double, Double)] =
+    World.evalRetrieval(c, res, World.exact(c, jt, ks.max), ks, World.jnLookup(c, jt))
 
   /** precision@k for every k, then NDCG@k: "p@10 .. p@50 | ndcg@10 .. ndcg@50". */
-  private def scores(spark: SparkSession, c: World.Corpus, jt: JoinType,
-                     res: Map[Long, Seq[Long]]): String = {
-    val m = evaluate(spark, c, jt, res, ks)
+  private def scores(c: World.Corpus, jt: JoinType, res: Map[Long, Seq[Long]]): String = {
+    val m = evaluate(c, jt, res, ks)
     ks.map(k => f"${m(k)._1}%.3f").mkString(" ") + " | " +
       ks.map(k => f"${m(k)._2}%.3f").mkString(" ")
   }
 
   /** Evaluate methods and print one corpus block of an accuracy table. */
-  def printBlock(spark: SparkSession, c: World.Corpus, jt: JoinType,
+  def printBlock(c: World.Corpus, jt: JoinType,
                  methods: Seq[(String, Map[Long, Seq[Long]])]): Unit = {
     println(s"-- ${c.cfg.name}, ${jt.label}: precision@k | ndcg@k, k=${ks.mkString(",")}")
-    methods.foreach { case (name, res) => println(f"$name%-22s ${scores(spark, c, jt, res)}") }
+    methods.foreach { case (name, res) => println(f"$name%-22s ${scores(c, jt, res)}") }
   }
 
   /** Table 3: equi-join accuracy on both corpora. */
@@ -106,7 +114,7 @@ object AccuracyBench {
       s"train=${World.trainN}, queries=${World.queryN}; paper: 1M/30K/50)")
     Seq(LakeConfig.webtable(), LakeConfig.wikitable()).foreach { cfg =>
       val c = World.corpus(spark, cfg)
-      printBlock(spark, c, Equi, equiMethods(spark, c, c, kMax))
+      printBlock(c, Equi, equiMethods(spark, c, c, kMax))
     }
   }
 
@@ -117,7 +125,7 @@ object AccuracyBench {
         s"(scale: repo=${World.repoN}, train=${World.trainN}, queries=${World.queryN})")
       Seq(LakeConfig.webtable(), LakeConfig.wikitable()).foreach { cfg =>
         val c = World.corpus(spark, cfg)
-        printBlock(spark, c, Semantic(tau), semanticMethods(spark, c, c, tau, kMax))
+        printBlock(c, Semantic(tau), semanticMethods(spark, c, c, tau, kMax))
       }
     }
 
@@ -148,7 +156,7 @@ object AccuracyBench {
       def block(title: String, jt: JoinType, methods: Seq[(String, Map[Long, Seq[Long]])]): Unit = {
         println(s"-- $title, |X| = $label")
         methods.foreach { case (name, res) =>
-          val (p, ndcg) = evaluate(spark, c, jt, res, Seq(k))(k)
+          val (p, ndcg) = evaluate(c, jt, res, Seq(k))(k)
           println(f"$name%-22s P@$k=$p%.3f NDCG@$k=$ndcg%.3f")
         }
       }
@@ -169,7 +177,7 @@ object AccuracyBench {
         TextOption.all.foreach { opt =>
           val dj = World.trainDeepJoin(spark, c, jt, PlmConfig.mpnet, opt)
           val res = retrieve(spark, c, dj, kMax)
-          println(f"${opt.name}%-26s ${scores(spark, c, jt, res)}")
+          println(f"${opt.name}%-26s ${scores(c, jt, res)}")
         }
       }
     }
@@ -189,7 +197,7 @@ object AccuracyBench {
           val dj = World.trainDeepJoin(spark, c, jt, PlmConfig.mpnet,
             shuffleRate = Some(rate))
           val res = retrieve(spark, c, dj, kMax)
-          println(f"rate=$rate%-21.1f ${scores(spark, c, jt, res)}")
+          println(f"rate=$rate%-21.1f ${scores(c, jt, res)}")
         }
       }
     }

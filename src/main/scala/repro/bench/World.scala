@@ -3,7 +3,7 @@ package repro.bench
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.{DeepJoin, DeepJoinIndex}
 import repro.embed._
-import repro.join.{Joinability, Pexeso}
+import repro.join.{Joinability, Josie, Pexeso}
 import repro.lake.{LakeColumn, LakeConfig, LakeGenerator}
 import repro.text.{Contextualizer, TextOption}
 import repro.train.{MlpBaseline, Trainer, TrainingData}
@@ -85,20 +85,22 @@ object World {
   // ---------------------------------------------------------------- labels
 
   /** Exact top-k per query, the ground truth of every accuracy table
-    * (Section 5.1): inverted-list overlap search on Spark for equi-joins,
-    * PEXESO (data-parallel over queries) for semantic joins.
+    * (Section 5.1), from the paper's exact method for the join type: JOSIE
+    * for equi-joins, PEXESO for semantic joins; data-parallel over queries.
     */
-  def exact(spark: SparkSession, c: Corpus, jt: JoinType,
-            k: Int): Map[Long, Seq[(Long, Double)]] =
+  def exact(c: Corpus, jt: JoinType, k: Int): Map[Long, Seq[(Long, Double)]] =
     memo(("exact", c, jt, k)) {
-      jt match {
-        case Equi =>
-          import spark.implicits._
-          Joinability.equiTopKMap(spark, spark.createDataset(c.queries), c.repoDs, k)
-        case Semantic(tau) =>
-          val px = pexeso(c)
-          c.queries.par.map(q => q.id -> px.topK(q.cells, tau, k)).seq.toMap
+      val topK: Seq[String] => Seq[(Long, Double)] = jt match {
+        case Equi => val ix = josie(c); ix.topK(_, k)
+        case Semantic(tau) => val ix = pexeso(c); ix.topK(_, tau, k)
       }
+      c.queries.par.map(q => q.id -> topK(q.cells)).seq.toMap
+    }
+
+  /** The JOSIE index over the corpus repository. */
+  def josie(c: Corpus): Josie =
+    memo(("josie", c)) {
+      Josie.build(c.repo.map(col => (col.id, col.cells)))
     }
 
   /** The PEXESO index over the corpus repository (shared across τ). */
@@ -221,6 +223,9 @@ object World {
     * it (retrievals, timing embeddings and indexes) match across tables.
     */
   val fastText: FastTextEmbedder = new FastTextEmbedder()
+
+  /** The one TaBERT embedder of every bench; it holds no corpus state. */
+  val tabert: TabertEmbedder = new TabertEmbedder()
 
   /** Retrieve top-k ids for every query. */
   def retrieveAll(idx: DeepJoinIndex, queries: Seq[LakeColumn],

@@ -1,7 +1,7 @@
 package repro.embed
 
 import repro.lake.LakeColumn
-import repro.text.{Contextualizer, TextOption, Tokenizer}
+import repro.text.Tokenizer
 
 /** A column encoder: fixed-length unit vector per column.
   *

@@ -1,18 +1,17 @@
 package repro.join
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.embed.VecOps
 import repro.lake.LakeColumn
 
-/** Joinability (Definitions 2.1 and 2.3) and exact top-k discovery.
+/** Joinability (Definitions 2.1 and 2.3) of column pairs, and the equi
+  * self-join that produces training positives (Section 4.1).
   *
-  * The equi path is a Spark DataFrame job — cells are exploded into an
-  * inverted list, joined with the query cells, and overlap counts are
-  * normalized by |Q| — the same computation JOSIE performs, without its
-  * pruning, and therefore the exact ground truth for Table 3's precision.
-  * The semantic path counts vector matches under threshold τ (Def 2.2/2.3).
+  * `equiJn` and `semanticJn` are the brute-force definitions that JOSIE and
+  * PEXESO, the exact top-k searches, are tested against. The self-join is a
+  * Spark DataFrame job: cells are exploded into an inverted list, joined
+  * with itself, and overlap counts are normalized by |X|.
   */
 object Joinability {
 
@@ -42,47 +41,6 @@ object Joinability {
       i += 1
     }
     matched.toDouble / q.length
-  }
-
-  /** Exact equi top-k for every query, as a DataFrame job.
-    *
-    * Columns are sets of cells: a repeated cell counts once on either side,
-    * so jn never exceeds 1 (matching [[equiJn]] and JOSIE).
-    *
-    * Returns (queryId, columnId, jn, rank) with rank 1..k per query, ordered
-    * by jn desc then columnId asc (the deterministic tie-break every method
-    * in this repo uses).
-    */
-  def equiTopK(spark: SparkSession, queries: Dataset[LakeColumn],
-               repo: Dataset[LakeColumn], k: Int): DataFrame = {
-    import spark.implicits._
-    val qCells = queries
-      .select($"id".as("qid"), array_distinct($"cells").as("cells"))
-      .select($"qid", size($"cells").as("qsize"), explode($"cells").as("cell"))
-    val xCells = repo
-      .select($"id".as("xid"), explode(array_distinct($"cells")).as("cell"))
-    val overlap = qCells.join(xCells, "cell")
-      .groupBy($"qid", $"qsize", $"xid")
-      .agg(count(lit(1)).as("ov"))
-      .select($"qid", $"xid", ($"ov" / $"qsize").as("jn"))
-    val w = Window.partitionBy($"qid").orderBy($"jn".desc, $"xid".asc)
-    overlap
-      .withColumn("rank", row_number().over(w))
-      .filter($"rank" <= k)
-      .select($"qid", $"xid", $"jn", $"rank")
-  }
-
-  /** Collected form of [[equiTopK]]: query id -> ranked (colId, jn). */
-  def equiTopKMap(spark: SparkSession, queries: Dataset[LakeColumn],
-                  repo: Dataset[LakeColumn], k: Int): Map[Long, Seq[(Long, Double)]] = {
-    import spark.implicits._
-    equiTopK(spark, queries, repo, k)
-      .as[(Long, Long, Double, Int)]
-      .collect()
-      .groupBy(_._1)
-      .map { case (qid, rows) =>
-        qid -> rows.sortBy(_._4).map(r => (r._2, r._3)).toSeq
-      }
   }
 
   /** Equi self-join: all ordered pairs with jn(X, Y) >= t, X != Y.

@@ -94,7 +94,7 @@ final class Pexeso private (
   def topK(queryCells: Seq[String], tau: Double, k: Int): Seq[(Long, Double)] = {
     val q = CellEmbedder.default.embedColumn(queryCells)
     if (k <= 0 || q.isEmpty || numColumns == 0) return Seq.empty
-    val cnt = counts(q, tau.toFloat)
+    val cnt = counts(q, Pexeso.floatAtMost(tau))
     (0 until numColumns).filter(cnt(_) > 0)
       .sortBy(c => (-cnt(c), colIds(c)))
       .take(k)
@@ -114,7 +114,7 @@ final class Pexeso private (
   def jnMap(queryCells: Seq[String], tau: Double,
             ids: Seq[Long]): Map[Long, Double] = {
     val q = CellEmbedder.default.embedColumn(queryCells)
-    val tf = tau.toFloat
+    val tf = Pexeso.floatAtMost(tau)
     ids.map { id =>
       val jn = indexOfId.get(id) match {
         case Some(c) if q.nonEmpty =>
@@ -148,6 +148,7 @@ object Pexeso {
 
   /** Largest float ≤ τ: `l2 <= floatAtMost(τ)` decides exactly as the
     * float-to-double comparison `l2 <= τ` of [[Joinability.semanticJn]].
+    * Every entry point converts τ with it (`tau.toFloat` rounds 0.8 up).
     */
   private def floatAtMost(tau: Double): Float = {
     val f = tau.toFloat

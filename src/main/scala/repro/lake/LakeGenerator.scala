@@ -142,7 +142,7 @@ object LakeGenerator {
                         lo: Int, hi: Int, salt: Long): Dataset[LakeColumn] = {
     import spark.implicits._
     // Oversample, filter to the band, take the first n by id for determinism.
-    val oversample = n * oversampleFactor(cfg, lo, hi)
+    val oversample = n * oversampleFactor(hi)
     spark.range(oversample)
       .map(i => genColumn(cfg, i, salt))
       .filter((c: LakeColumn) => c.size >= lo && c.size <= hi)
@@ -155,7 +155,7 @@ object LakeGenerator {
   def queriesInSizeBandLocal(cfg: LakeConfig, n: Int, lo: Int, hi: Int): Seq[LakeColumn] = {
     val out = mutable.ArrayBuffer.empty[LakeColumn]
     var i = 0L
-    val limit = n.toLong * oversampleFactor(cfg, lo, hi) + 1000
+    val limit = n.toLong * oversampleFactor(hi) + 1000
     while (out.size < n && i < limit) {
       val c = genColumn(cfg, i + 2000000000L, QuerySalt)
       if (c.size >= lo && c.size <= hi) out += c
@@ -164,7 +164,7 @@ object LakeGenerator {
     out.toVector
   }
 
-  private def oversampleFactor(cfg: LakeConfig, lo: Int, hi: Int): Long = {
+  private def oversampleFactor(hi: Int): Long = {
     // Log-normal mass in a band is at least a few percent for the bands the
     // benches use; 40x oversampling is comfortably enough and cheap.
     if (hi >= 50) 40L else 12L

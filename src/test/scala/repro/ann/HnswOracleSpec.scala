@@ -15,7 +15,7 @@ class HnswOracleSpec extends AnyFunSuite {
   private def ties(n: Int, dim: Int, seed: Long): IndexedSeq[Array[Float]] = {
     val r = new Random(seed)
     val distinct = IndexedSeq.fill(n / 3)(Array.fill(dim)(r.nextInt(3).toFloat))
-    IndexedSeq.tabulate(n)(i => distinct(r.nextInt(distinct.size)).clone())
+    IndexedSeq.fill(n)(distinct(r.nextInt(distinct.size)).clone())
   }
 
   private val fixtures = Seq(

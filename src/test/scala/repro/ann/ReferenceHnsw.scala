@@ -48,7 +48,7 @@ final class ReferenceHnsw(
     l = math.min(lvl, topLevel)
     while (l >= 0) {
       val cands = searchLayer(v, Seq(ep), efConstruction, l)
-      val selected = selectNeighbors(v, cands, m)
+      val selected = selectNeighbors(cands, m)
       val lst = links(id)(l)
       selected.foreach { case (nid, _) => lst += nid }
       val cap = if (l == 0) mMax0 else m
@@ -134,8 +134,7 @@ final class ReferenceHnsw(
     scala.collection.immutable.ArraySeq.unsafeWrapArray(out)
   }
 
-  private def selectNeighbors(q: Array[Float], cands: Seq[(Int, Float)],
-                              cap: Int): Seq[(Int, Float)] = {
+  private def selectNeighbors(cands: Seq[(Int, Float)], cap: Int): Seq[(Int, Float)] = {
     val result = mutable.ArrayBuffer.empty[(Int, Float)]
     val it = cands.iterator
     while (it.hasNext && result.length < cap) {
@@ -155,7 +154,7 @@ final class ReferenceHnsw(
     val nl = links(node)(level)
     val v = vecs(node)
     val sorted = nl.distinct.map(nid => (nid, VecOps.l2(v, vecs(nid)))).sortBy(_._2)
-    val kept = selectNeighbors(v, sorted.toSeq, cap)
+    val kept = selectNeighbors(sorted.toSeq, cap)
     nl.clear()
     nl ++= kept.map(_._1)
   }

@@ -28,15 +28,20 @@ class WorldIntegrationSpec extends SparkSpec {
     assert(c.cellFrequency(v) == expected)
   }
   test("exact equi ground truth is populated and correctly ordered") {
-    val ex = World.exact(spark, c, Equi, 10)
+    val ex = World.exact(c, Equi, 10)
     assert(ex.nonEmpty)
     ex.values.foreach { ranked =>
       val jns = ranked.map(_._2)
       assert(jns == jns.sorted.reverse)
     }
+    c.queries.foreach { q =>
+      val brute = c.repo.map(x => (x.id, repro.join.Joinability.equiJn(q.cells, x.cells)))
+        .filter(_._2 > 0).sortBy { case (id, jn) => (-jn, id) }.take(10)
+      assert(ex(q.id) == brute, s"query ${q.id}")
+    }
   }
   test("exact semantic ground truth is populated") {
-    val ex = World.exact(spark, c, Semantic(0.9), 10)
+    val ex = World.exact(c, Semantic(0.9), 10)
     assert(ex.values.exists(_.nonEmpty))
   }
   test("equi positives exist at the paper's threshold") {
@@ -52,7 +57,7 @@ class WorldIntegrationSpec extends SparkSpec {
   test("retrieval + evaluation produces sane precision for fastText") {
     val idx = DeepJoin.buildIndex(spark, c.repoDs, new FastTextEmbedder())
     val res = World.retrieveAll(idx, c.queries, 10)
-    val ex = World.exact(spark, c, Equi, 10)
+    val ex = World.exact(c, Equi, 10)
     val m = World.evalRetrieval(c, res, ex, Seq(10), World.jnLookup(c, Equi))
     val (p, n) = m(10)
     assert(p >= 0.0 && p <= 1.0)
@@ -64,6 +69,11 @@ class WorldIntegrationSpec extends SparkSpec {
     val own = AccuracyBench.retrieve(spark, c, new FastTextEmbedder(), 10)
     assert(own ne shared)
     assert(own == shared)
+  }
+  test("two calls of equiMethods on one corpus reach the same retrievals") {
+    val first = AccuracyBench.equiMethods(spark, c, c, 10)
+    val second = AccuracyBench.equiMethods(spark, c, c, 10)
+    first.zip(second).foreach { case ((name, a), (_, b)) => assert(a eq b, name) }
   }
   test("jnLookup agrees with direct computation (equi)") {
     val look = World.jnLookup(c, Equi)
@@ -90,11 +100,11 @@ class WorldIntegrationSpec extends SparkSpec {
     assert(other.cfg.seed == 98L)
   }
   test("a corpus that shares the training set gets exact top-k from its own repository") {
-    World.exact(spark, c, Equi, 10)
+    World.exact(c, Equi, 10)
     val repoDs = LakeGenerator.columns(spark, cfg, 400, idOffset = 1000000L).cache()
     val repo = repoDs.collect().toSeq.sortBy(_.id)
     val own = World.Corpus(cfg, repo, c.train, c.queries, repoDs, c.trainDs)
-    val ids = World.exact(spark, own, Equi, 10).values.flatten.map(_._1).toSet
+    val ids = World.exact(own, Equi, 10).values.flatten.map(_._1).toSet
     assert(ids.nonEmpty)
     assert(ids.subsetOf(repo.map(_.id).toSet))
   }

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.embed.{ColumnEmbedder, FastTextEmbedder, PlmConfig, PlmEmbedder, VecOps}
+import repro.embed.{ColumnEmbedder, FastTextEmbedder, PlmConfig, PlmEmbedder}
 import repro.lake.{LakeColumn, LakeConfig, LakeGenerator}
 import repro.text.{Contextualizer, TextOption}
 import repro.train.DiagonalHead
