@@ -250,7 +250,9 @@ final class PlmEmbedder(
     * over j is vectorizable and the result is bit-identical to a per-pair
     * dot product. Query rows go in blocks of 4, so each `kt(c)` pass feeds
     * four score rows and each `vecs(j)` pass four outputs; lanes past the
-    * last row repeat it and their results are dropped.
+    * last row repeat it and their results are dropped. Each pass folds two
+    * steps of the sum, `(s + a·x) + b·y`, which rounds exactly as two
+    * one-step passes; an odd d or L ends in a one-step tail.
     */
   private def attentionLayer(vecs: Array[Array[Float]]): Array[Array[Float]] = {
     val L = vecs.length
@@ -290,7 +292,20 @@ final class PlmEmbedder(
       sc.foreach(java.util.Arrays.fill(_, 0.0f))
       var j = 0
       var c = 0
-      while (c < d) {
+      while (c + 1 < d) {
+        val k = kt(c); val k1 = kt(c + 1)
+        val a0 = q0(c); val a1 = q1(c); val a2 = q2(c); val a3 = q3(c)
+        val b0 = q0(c + 1); val b1 = q1(c + 1); val b2 = q2(c + 1); val b3 = q3(c + 1)
+        j = 0
+        while (j < L) {
+          val kj = k(j); val k1j = k1(j)
+          s0(j) = s0(j) + a0 * kj + b0 * k1j; s1(j) = s1(j) + a1 * kj + b1 * k1j
+          s2(j) = s2(j) + a2 * kj + b2 * k1j; s3(j) = s3(j) + a3 * kj + b3 * k1j
+          j += 1
+        }
+        c += 2
+      }
+      if (c < d) { // odd d: the last step
         val k = kt(c)
         val a0 = q0(c); val a1 = q1(c); val a2 = q2(c); val a3 = q3(c)
         j = 0
@@ -299,13 +314,25 @@ final class PlmEmbedder(
           s0(j) += a0 * kj; s1(j) += a1 * kj; s2(j) += a2 * kj; s3(j) += a3 * kj
           j += 1
         }
-        c += 1
       }
       sc.foreach(mixWeights)
       val os = Array.ofDim[Float](4, d)
       val o0 = os(0); val o1 = os(1); val o2 = os(2); val o3 = os(3)
       j = 0
-      while (j < L) {
+      while (j + 1 < L) {
+        val x = vecs(j); val x1 = vecs(j + 1)
+        val p0 = s0(j); val p1 = s1(j); val p2 = s2(j); val p3 = s3(j)
+        val u0 = s0(j + 1); val u1 = s1(j + 1); val u2 = s2(j + 1); val u3 = s3(j + 1)
+        var r = 0
+        while (r < d) {
+          val xr = x(r); val x1r = x1(r)
+          o0(r) = o0(r) + p0 * xr + u0 * x1r; o1(r) = o1(r) + p1 * xr + u1 * x1r
+          o2(r) = o2(r) + p2 * xr + u2 * x1r; o3(r) = o3(r) + p3 * xr + u3 * x1r
+          r += 1
+        }
+        j += 2
+      }
+      if (j < L) { // odd L: the last step
         val x = vecs(j)
         val p0 = s0(j); val p1 = s1(j); val p2 = s2(j); val p3 = s3(j)
         var r = 0
@@ -314,7 +341,6 @@ final class PlmEmbedder(
           o0(r) += p0 * xr; o1(r) += p1 * xr; o2(r) += p2 * xr; o3(r) += p3 * xr
           r += 1
         }
-        j += 1
       }
       var i = b
       while (i < math.min(b + 4, L)) {
@@ -343,7 +369,8 @@ final class PlmEmbedder(
     * r is vectorizable and the result is bit-identical to a row-by-row
     * mat-vec. Tokens go in blocks of 4, so each weight row `ffnWt(c)` is
     * read once per block; lanes past the last token repeat it and their
-    * sums are dropped.
+    * sums are dropped. Each pass folds two weight rows, as in
+    * [[attentionLayer]], with a one-step tail for odd d.
     */
   private def ffnLayer(vecs: Array[Array[Float]]): Unit = {
     val d = dCell
@@ -358,7 +385,20 @@ final class PlmEmbedder(
       val s0 = sb(0); val s1 = sb(1); val s2 = sb(2); val s3 = sb(3)
       sb.foreach(java.util.Arrays.fill(_, 0.0f))
       var c = 0
-      while (c < d) {
+      while (c + 1 < d) {
+        val w = wt(c); val w1 = wt(c + 1)
+        val a0 = v0(c); val a1 = v1(c); val a2 = v2(c); val a3 = v3(c)
+        val b0 = v0(c + 1); val b1 = v1(c + 1); val b2 = v2(c + 1); val b3 = v3(c + 1)
+        var r = 0
+        while (r < d) {
+          val wr = w(r); val w1r = w1(r)
+          s0(r) = s0(r) + wr * a0 + w1r * b0; s1(r) = s1(r) + wr * a1 + w1r * b1
+          s2(r) = s2(r) + wr * a2 + w1r * b2; s3(r) = s3(r) + wr * a3 + w1r * b3
+          r += 1
+        }
+        c += 2
+      }
+      if (c < d) { // odd d: the last step
         val w = wt(c)
         val a0 = v0(c); val a1 = v1(c); val a2 = v2(c); val a3 = v3(c)
         var r = 0
@@ -367,7 +407,6 @@ final class PlmEmbedder(
           s0(r) += wr * a0; s1(r) += wr * a1; s2(r) += wr * a2; s3(r) += wr * a3
           r += 1
         }
-        c += 1
       }
       var i = b
       while (i < math.min(b + 4, L)) {
@@ -392,8 +431,19 @@ final class PlmEmbedder(
 }
 
 object PlmEmbedder {
-  private final val SeriesBelow = 9.765625e-4 // 2^-10
+  private final val PolyBelow = 0.25
   private final val Slack = 3.637978807091713e-12 // 2^-38
+  // Odd Taylor coefficients of tanh, C3 for x³ through C19 for x¹⁹; each
+  // quotient of two exact doubles is the correctly rounded coefficient.
+  private final val C3 = -1.0 / 3
+  private final val C5 = 2.0 / 15
+  private final val C7 = -17.0 / 315
+  private final val C9 = 62.0 / 2835
+  private final val C11 = -1382.0 / 155925
+  private final val C13 = 21844.0 / 6081075
+  private final val C15 = -929569.0 / 638512875
+  private final val C17 = 6404582.0 / 10854718875.0
+  private final val C19 = -443861162.0 / 1856156927625.0
 
   /** `math.tanh(x.toDouble).toFloat`, bit for bit, without the native call
     * for almost every input (see [[tanhFast]] and DESIGN §6).
@@ -405,24 +455,43 @@ object PlmEmbedder {
 
   /** `math.tanh(x.toDouble).toFloat` where a cheap double estimate t decides
     * it, else NaN (always NaN for a NaN input). t is within about
-    * 2⁻⁴³·|tanh x|; if t ± |t|·2⁻³⁸ round to the same float, so does
+    * 2⁻⁵⁰·|tanh x|; if t ± |t|·2⁻³⁸ round to the same float, so does
     * fdlibm's tanh, which is within 1 ulp of the true value (Ziv's rounding
-    * test). The series is kept in factored form, x·(…), so that −0.0 maps
-    * to −0.0.
+    * test).
     */
   private[embed] def tanhFast(x: Float): Float = {
-    val xd = x.toDouble
-    val a = math.abs(xd)
+    val a = math.abs(x.toDouble)
     if (a > 20) return if (x > 0) 1.0f else -1.0f
-    val t =
-      if (a < SeriesBelow) { val x2 = xd * xd; xd * (1 - x2 / 3 + 2 * x2 * x2 / 15) }
-      else {
-        val e = Math.exp(2 * a)
-        val u = (e - 1) / (e + 1)
-        if (x < 0) -u else u
-      }
+    val t = tanhEstimate(x)
     val slack = math.abs(t) * Slack
     val lo = (t - slack).toFloat // −0.0 − 0.0 stays −0.0
     if (lo == (t + slack).toFloat) lo else Float.NaN
+  }
+
+  /** The double estimate t of tanh x for |x| ≤ 20 that [[tanhFast]] tests.
+    * Below 1/4 it is the Taylor polynomial through x¹⁹ in Estrin form,
+    * x·P(x²), with no `Math.exp` call; the factored form maps −0.0 to −0.0.
+    * Above it is ±(e − 1)/(e + 1) with e = `Math.exp(2|x|)`.
+    */
+  private[embed] def tanhEstimate(x: Float): Double = {
+    val xd = x.toDouble
+    val a = math.abs(xd)
+    if (a < PolyBelow) {
+      val x2 = xd * xd
+      val x4 = x2 * x2
+      val x8 = x4 * x4
+      val p1 = 1 + C3 * x2
+      val p5 = C5 + C7 * x2
+      val p9 = C9 + C11 * x2
+      val p13 = C13 + C15 * x2
+      val p17 = C17 + C19 * x2
+      val q1 = p1 + p5 * x4
+      val q9 = p9 + p13 * x4
+      xd * ((q1 + q9 * x8) + p17 * (x8 * x8))
+    } else {
+      val e = Math.exp(2 * a)
+      val u = (e - 1) / (e + 1)
+      if (x < 0) -u else u
+    }
   }
 }

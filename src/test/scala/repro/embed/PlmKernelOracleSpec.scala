@@ -8,13 +8,16 @@ import repro.train.DiagonalHead
 /** [[PlmEmbedder]]'s kernels must reproduce [[ReferencePlmEmbedder]] exactly:
   * `java.util.Arrays.equals`, not a tolerance. Covered: the three size bands
   * of Tables 8 and 15, exact token counts around the kernels' 4-row blocks
-  * and fan-out thresholds, all three PLMs, the serial and the parallel
-  * (GPU-sim) path, idf pooling on and off, and inputs off the generator's
-  * happy path.
+  * and fan-out thresholds, all three PLMs plus one with an odd cell width
+  * (so the two-step reductions over c end in their one-step tail), the
+  * serial and the parallel (GPU-sim) path, idf pooling on and off, and
+  * inputs off the generator's happy path.
   */
 class PlmKernelOracleSpec extends AnyFunSuite {
   private val lake = LakeConfig.webtable()
-  private val plms = Seq(PlmConfig.distilbert, PlmConfig.mpnet, PlmConfig.bert)
+  // Every shipped dCell (182, 270) is even; dim 271 gives dCell 191.
+  private val oddCell = PlmConfig.mpnet.copy(name = "MPNet-odd", dim = 271)
+  private val plms = Seq(PlmConfig.distilbert, PlmConfig.mpnet, PlmConfig.bert, oddCell)
 
   // The size bands of Tables 8 and 15, with (lo, hi, columns drawn).
   private val bands: Seq[(String, Seq[LakeColumn])] =
@@ -72,8 +75,10 @@ class PlmKernelOracleSpec extends AnyFunSuite {
 
   test("encodeCells is bit-identical at exact token counts: every L mod 4 and both sides of the fan-out thresholds") {
     // One token per cell, with repeats, so L is exactly the cell count.
-    // The kernels run rows in blocks of 4, and the parallel path fans out
+    // The kernels run rows in blocks of 4, the value mix folds two rows per
+    // step (odd L ends in a one-row tail), and the parallel path fans out
     // from L = 8 (FFN) and L = 16 (attention).
+    assert(new PlmEmbedder(oddCell, ctx).dCell % 2 == 1)
     Seq(1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 135).foreach { len =>
       val cells = (0 until len).map(i => s"w${i * 7 % 13}")
       assert(cells.forall(Tokenizer.tokenize(_).size == 1))

@@ -30,7 +30,7 @@ class TanhSpec extends AnyFunSuite {
       b += stride
     }
     assert(n > 2000000)
-    // The native call is the rare exception (24,054 of 2³² inputs, NaNs apart).
+    // The native call is the rare exception (24,052 of 2³² inputs, NaNs apart).
     assert(fallbacks < n / 1000, s"$fallbacks fallbacks in $n inputs")
     info(s"$n inputs, $fallbacks fallbacks")
   }
@@ -44,28 +44,32 @@ class TanhSpec extends AnyFunSuite {
     }
     val firstOne = intBitsToFloat(lo)
     assert(math.tanh(Math.nextDown(firstOne).toDouble).toFloat < 1.0f)
-    val seriesBound = 1.0f / 1024
+    val polyBound = 0.25f
     val clamp = 20.0f
-    // Inputs the sweeps show to take the native call: one in the series
-    // branch, one in the exp branch, and the two (of 2³²) whose estimate
-    // alone would round to the neighbouring float.
-    val fallbacks = Seq(0x39b89a40, 0x3b034004, 0x3af41fd8, 0x3afc9f57).map(intBitsToFloat)
+    // Inputs that `TanhSweep` shows to take the native call: one in the
+    // polynomial branch and one in the exp branch.
+    val fallbacks = Seq(0x3a27b9da, 0x3f001e4c).map(intBitsToFloat)
     fallbacks.foreach(x => assert(PlmEmbedder.tanhFast(x).isNaN && PlmEmbedder.tanhFast(-x).isNaN, s"x=$x"))
+    // Fallbacks of the former estimate (a short series below 2⁻¹⁰, exp
+    // above): one in each of its branches, and the two (of 2³²) where it
+    // alone rounded to the neighbouring float. They must stay exact.
+    val formerFallbacks = Seq(0x39b89a40, 0x3b034004, 0x3af41fd8, 0x3afc9f57).map(intBitsToFloat)
     val magnitudes = Seq(
       "zero" -> 0.0f,
       "MinPositiveValue" -> Float.MinPositiveValue,
       "largest subnormal" -> intBitsToFloat(0x007fffff),
       "smallest normal" -> java.lang.Float.MIN_NORMAL,
-      "below 2^-10" -> Math.nextDown(seriesBound),
-      "2^-10" -> seriesBound,
-      "above 2^-10" -> Math.nextUp(seriesBound),
+      "below 1/4" -> Math.nextDown(polyBound),
+      "1/4" -> polyBound,
+      "above 1/4" -> Math.nextUp(polyBound),
       "below the clamp" -> Math.nextDown(clamp),
       "the clamp" -> clamp,
       "above the clamp" -> Math.nextUp(clamp),
       "below the first 1.0f" -> Math.nextDown(firstOne),
       "first 1.0f" -> firstOne,
       "MaxValue" -> Float.MaxValue,
-      "infinity" -> Float.PositiveInfinity) ++ fallbacks.map("fallback" -> _)
+      "infinity" -> Float.PositiveInfinity) ++ fallbacks.map("fallback" -> _) ++
+      formerFallbacks.map("former fallback" -> _)
     magnitudes.foreach { case (what, x) =>
       assertExact(x, what)
       assertExact(-x, s"-($what)")

@@ -262,6 +262,31 @@ class LshEnsembleSpec extends AnyFunSuite {
   test("empty query returns nothing") {
     assert(lsh.topK(Seq.empty, 5).isEmpty)
   }
+  test("topK returns at most k distinct repository ids with estimates in [0, 1] on adversarial columns (property)") {
+    import org.scalacheck.{Gen, Prop, Test => SCTest}
+    import org.scalacheck.Prop.propBoolean
+    // Empty and blank strings, case, combining and precomposed accents,
+    // CJK, a surrogate pair, and repeats (each column draws from 13 values).
+    val pool = Seq("", " ", "a", "A", "ab", "a b", "naïve", "nai\u0308ve", "ünïcödé",
+      "日本語", "東京", "東京都", "\ud83d\ude00")
+    val column = Gen.choose(0, 8).flatMap(n => Gen.listOfN(n, Gen.oneOf(pool)))
+    val input = for {
+      cells <- Gen.choose(0, 12).flatMap(Gen.listOfN(_, column))
+      q <- column
+      kSel <- Gen.choose(0, 3)
+    } yield (cells :+ Nil, q, kSel) // always one column with no cells
+    val prop = Prop.forAll(input) { case (cells, q, kSel) =>
+      val cols = cells.zipWithIndex.map { case (cs, i) => (10L + i, cs) }
+      val k = Seq(0, 1, cols.size, cols.size + 5)(kSel)
+      val res = LshEnsemble.build(cols).topK(q, k)
+      val ids = res.map(_._1)
+      (res.size <= k) :| s"${res.size} results for k = $k" &&
+        res.forall { case (_, c) => c >= 0.0 && c <= 1.0 } :| s"estimates $res" &&
+        (ids.distinct == ids && ids.forall(id => cols.exists(_._1 == id))) :| s"ids $ids"
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res.status.toString)
+  }
 }
 
 class PexesoSpec extends AnyFunSuite {
